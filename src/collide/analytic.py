@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import f_cdf, log_gamma
+from .specfun import _float_or_array, f_cdf, log_gamma
 
 __all__ = [
     "ModelParams",
@@ -44,11 +44,13 @@ def _check_dim(d: int) -> int:
     return d
 
 
-def _check_radius(r: float) -> float:
-    r = float(r)
-    if math.isnan(r) or not 0.0 < r < 1.0:
-        raise ValueError(f"radius must lie strictly inside (0, 1), got {r}")
-    return r
+def _check_radius(r):
+    """Returns r as a float, or as an array for array input."""
+    r = np.asarray(r, dtype=float)
+    inside = (r > 0.0) & (r < 1.0)
+    if not inside.all():
+        raise ValueError(f"radius must lie strictly inside (0, 1), got {r[~inside][0]}")
+    return _float_or_array(r)
 
 
 @dataclass(frozen=True)
@@ -63,26 +65,34 @@ class ModelParams:
         object.__setattr__(self, "r", _check_radius(self.r))
 
 
-def _norm_sq(x) -> float:
-    v = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
-    if v.size == 0:
-        raise ValueError("point must have at least one coordinate")
+def _norm_sq(x, d: int):
+    """Squared norms of a point (shape (d,)) or of the rows of an (n, d) array."""
+    v = np.asarray(x, dtype=float)
+    if v.ndim == 0:
+        v = v.reshape(1)
+    if v.shape[-1] != d:
+        raise ValueError(f"point has {v.shape[-1]} coordinates, expected {d}")
     if np.isnan(v).any():
         raise ValueError("point contains NaN")
-    # fsum gives the correctly rounded sum, so the density is exactly
+    # summing each row's squares in sorted order makes the density exactly
     # invariant under coordinate permutations and sign flips
-    return math.fsum(float(t) * float(t) for t in v)
+    return np.sort(v * v, axis=-1).sum(axis=-1)
 
 
-def _check_point(x, d: int) -> float:
-    v = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
-    if v.size != d:
-        raise ValueError(f"point has {v.size} coordinates, expected {d}")
-    return _norm_sq(v)
+def _kernel_power(nsq, exponent: int):
+    """(1 + nsq) ** exponent elementwise, through the C library's pow.
+
+    numpy's vectorised power differs from libm pow in the last bit for
+    some arguments; evaluating with Python floats keeps every density
+    value, and so the ``density`` command's CSV, independent of the
+    numpy build and of how many points one call evaluates.
+    """
+    base = np.asarray(1.0 + nsq, dtype=float)
+    return np.array([b ** exponent for b in base.ravel().tolist()]).reshape(base.shape)
 
 
-def collision_prob_exact(r: float, d: int) -> float:
-    """Probability that the two balls ever collide.
+def collision_prob_exact(r, d: int):
+    """Probability that the two balls ever collide; elementwise for array r.
 
     Equals 1/2 in dimension one; for d >= 2 it is half the F(d-1, 1)
     distribution function evaluated at r^2 / ((d-1)(1-r^2)), which is
@@ -92,21 +102,22 @@ def collision_prob_exact(r: float, d: int) -> float:
     r = _check_radius(r)
     d = _check_dim(d)
     if d == 1:
-        return 0.5
+        return _float_or_array(np.full(np.shape(r), 0.5))
     x = r * r / ((d - 1) * (1.0 - r * r))
     return 0.5 * f_cdf(x, d - 1, 1)
 
 
-def collision_prob_closed(r: float, d: int) -> float:
-    """Elementary closed forms for the collision probability, d <= 3."""
+def collision_prob_closed(r, d: int):
+    """Elementary closed forms for the collision probability, d <= 3;
+    elementwise for array r."""
     r = _check_radius(r)
     d = _check_dim(d)
     if d == 1:
-        return 0.5
+        return _float_or_array(np.full(np.shape(r), 0.5))
     if d == 2:
-        return math.atan(r / math.sqrt(1.0 - r * r)) / math.pi
+        return _float_or_array(np.arctan(r / np.sqrt(1.0 - r * r)) / math.pi)
     if d == 3:
-        return 0.5 * (1.0 - math.sqrt(1.0 - r * r))
+        return _float_or_array(0.5 * (1.0 - np.sqrt(1.0 - r * r)))
     raise ValueError(f"closed form is only available for d <= 3, got d={d}")
 
 
@@ -130,8 +141,11 @@ def location_coefficient(d: int) -> float:
     return 0.5 * math.pi ** (-0.5 * (d + 1)) * ratio
 
 
-def location_density_limit(x, d: int) -> float:
+def location_density_limit(x, d: int):
     """Small-radius limit density of the first-contact point at x in R^d.
+
+    x is one point (shape (d,)), giving a float, or an (n, d) array of
+    points, giving an (n,) array.
 
     Defective: integrating it over R^d yields the limiting ratio
     p / r^(d-1) rather than 1.  The full mass sits in the factor
@@ -139,40 +153,44 @@ def location_density_limit(x, d: int) -> float:
     kernel (1 + |x|^2)^(-d).
     """
     d = _check_dim(d)
-    nsq = _check_point(x, d)
-    return location_coefficient(d) / (1.0 + nsq) ** d
+    nsq = _norm_sq(x, d)
+    return _float_or_array(location_coefficient(d) / _kernel_power(nsq, d))
 
 
-def conditional_location_density(x, d: int) -> float:
+def conditional_location_density(x, d: int):
     """Proper density of the first-contact point given that a collision occurs,
-    in the small-radius limit."""
+    in the small-radius limit; x as in ``location_density_limit``."""
     d = _check_dim(d)
-    nsq = _check_point(x, d)
+    nsq = _norm_sq(x, d)
     ratio = math.exp(log_gamma(float(d)) - log_gamma(0.5 * d))
-    return ratio * math.pi ** (-0.5 * d) * (1.0 + nsq) ** (-d)
+    return _float_or_array(ratio * math.pi ** (-0.5 * d) * _kernel_power(nsq, -d))
 
 
-def radial_cdf_conditional(a: float, d: int) -> float:
-    """P(|C| <= a) for the conditional limit location C: |C|^2 is F(d, d)."""
-    a = float(a)
-    if math.isnan(a) or a < 0.0:
-        raise ValueError(f"radius bound must be >= 0, got {a}")
+def radial_cdf_conditional(a, d: int):
+    """P(|C| <= a) for the conditional limit location C: |C|^2 is F(d, d).
+
+    Elementwise for array a, with ``f_cdf``'s return convention.
+    """
+    a = np.asarray(a, dtype=float)
+    bad = ~(a >= 0.0)
+    if bad.any():
+        raise ValueError(f"radius bound must be >= 0, got {a[bad][0]}")
     d = _check_dim(d)
     return f_cdf(a * a, d, d)
 
 
-def cauchy_cdf_1d(x: float, r: float) -> float:
+def cauchy_cdf_1d(x, r: float):
     """Exact defective CDF of the contact point on the line (d = 1).
 
     The collision event has probability 1/2 and, on that event, the
     contact point is Cauchy with scale 1 - r, so the total mass of this
-    CDF is 1/2.
+    CDF is 1/2.  Elementwise for array x.
     """
-    x = float(x)
-    if math.isnan(x):
+    x = np.asarray(x, dtype=float)
+    if np.isnan(x).any():
         raise ValueError("x must be a number, got NaN")
     r = _check_radius(r)
-    return 0.25 + math.atan(x / (1.0 - r)) / (2.0 * math.pi)
+    return _float_or_array(0.25 + np.arctan(x / (1.0 - r)) / (2.0 * math.pi))
 
 
 def unit_sphere_area(d: int) -> float:

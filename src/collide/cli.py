@@ -106,16 +106,14 @@ def _cmd_density(args) -> int:
         raise ValueError(f"--points must be >= 2, got {args.points}")
     if args.mode == "limit":
         coeff = analytic.location_coefficient(args.d)
-        density = lambda x: analytic.location_density_limit(x, args.d)
+        density = analytic.location_density_limit
     else:
         coeff = analytic.conditional_location_density(np.zeros(args.d), args.d)
-        density = lambda x: analytic.conditional_location_density(x, args.d)
+        density = analytic.conditional_location_density
     grid = np.linspace(0.0, args.rmax, args.points)
-    values = []
-    for s in grid:
-        x = np.zeros(args.d)
-        x[0] = s
-        values.append(density(x))
+    points = np.zeros((args.points, args.d))
+    points[:, 0] = grid
+    values = density(points, args.d)
     with open(args.out, "w", newline="") as fh:
         fh.write("x_norm,density\n")
         for s, v in zip(grid, values):

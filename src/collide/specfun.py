@@ -1,14 +1,20 @@
-"""Scalar special functions backing every probability in this package.
+"""Special functions backing every probability in this package.
 
-Implemented directly on top of ``math`` so that results are reproducible
-bit-for-bit and carry no dependency on an external numerics stack.  Only
-the four functions the rest of the package needs are provided; none of
-them aim to be a general-purpose library.
+Implemented directly on top of ``math`` and numpy so that results are
+reproducible and carry no dependency on an external numerics stack.
+``reg_inc_beta`` and ``f_cdf`` are array-native: they take a scalar or
+an array of evaluation points (with scalar shape parameters) through one
+code path, and return a float for a scalar and an array otherwise.
+``log_gamma`` and ``kolmogorov_sf`` take scalars.  Only the four
+functions the rest of the package needs are provided; none of them aim
+to be a general-purpose library.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 __all__ = ["log_gamma", "reg_inc_beta", "f_cdf", "kolmogorov_sf"]
 
@@ -35,12 +41,29 @@ _CF_TINY = 1e-30
 _CF_EPS = 1e-15
 _CF_MAX_ITER = 500
 
+# Array arguments are evaluated this many elements at a time, so the
+# continued fraction's temporaries stay small however long the input is.
+_CHUNK = 8192
+
 
 def _require_number(name: str, value: float) -> float:
     value = float(value)
     if math.isnan(value):
         raise ValueError(f"{name} must be a number, got NaN")
     return value
+
+
+def _require_numbers(name: str, values) -> np.ndarray:
+    values = np.asarray(values, dtype=float)
+    if np.isnan(values).any():
+        raise ValueError(f"{name} must be a number, got NaN")
+    return values
+
+
+def _float_or_array(values):
+    """Returns a 0-d result as a Python float and anything else as an array."""
+    values = np.asarray(values, dtype=float)
+    return float(values) if values.ndim == 0 else values
 
 
 def log_gamma(x: float) -> float:
@@ -67,91 +90,115 @@ def _log_beta(a: float, b: float) -> float:
     return log_gamma(a) + log_gamma(b) - log_gamma(a + b)
 
 
-def _beta_cf(x: float, a: float, b: float) -> float:
-    """Continued fraction for the incomplete beta, modified Lentz scheme."""
+def _away_from_zero(v: np.ndarray) -> np.ndarray:
+    """Lentz's guard against division by zero; overwrites v in place."""
+    v[np.abs(v) < _CF_TINY] = _CF_TINY
+    return v
+
+
+def _beta_cf(x: np.ndarray, a: float, b: float) -> np.ndarray:
+    """Continued fraction for the incomplete beta, modified Lentz scheme.
+
+    Numerical Recipes' ``betacf`` run over an array: every element takes
+    the same steps as it would alone and leaves the loop at the step
+    where its own increment converges.
+    """
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _CF_TINY:
-        d = _CF_TINY
-    d = 1.0 / d
+    out = np.empty_like(x)
+    left = np.arange(x.size)  # positions in ``out`` still iterating
+    c = np.ones_like(x)
+    d = 1.0 / _away_from_zero(1.0 - qab * x / qap)
     h = d
-    for m in range(1, _CF_MAX_ITER + 1):
+    m = 0
+    while left.size:
+        m += 1
+        if m > _CF_MAX_ITER:
+            raise ValueError(
+                f"incomplete beta continued fraction failed to converge for x={x[0]}, a={a}, b={b}"
+            )
         m2 = 2 * m
         # even step
         aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _CF_TINY:
-            d = _CF_TINY
-        c = 1.0 + aa / c
-        if abs(c) < _CF_TINY:
-            c = _CF_TINY
-        d = 1.0 / d
-        h *= d * c
+        d = 1.0 / _away_from_zero(1.0 + aa * d)
+        c = _away_from_zero(1.0 + aa / c)
+        h = h * (d * c)
         # odd step
         aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _CF_TINY:
-            d = _CF_TINY
-        c = 1.0 + aa / c
-        if abs(c) < _CF_TINY:
-            c = _CF_TINY
-        d = 1.0 / d
+        d = 1.0 / _away_from_zero(1.0 + aa * d)
+        c = _away_from_zero(1.0 + aa / c)
         delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _CF_EPS:
-            return h
-    raise ValueError(
-        f"incomplete beta continued fraction failed to converge for x={x}, a={a}, b={b}"
-    )
+        h = h * delta
+        done = np.abs(delta - 1.0) < _CF_EPS
+        if np.count_nonzero(done):
+            out[left[done]] = h[done]
+            going = ~done
+            left, x, c, d, h = left[going], x[going], c[going], d[going], h[going]
+    return out
 
 
-def reg_inc_beta(x: float, a: float, b: float) -> float:
+def _reg_inc_beta_inner(x: np.ndarray, a: float, b: float, log_beta: float) -> np.ndarray:
+    """I_x(a, b) for 0 < x < 1 on the continued fraction's converging side."""
+    log_front = a * np.log(x) + b * np.log1p(-x) - log_beta - math.log(a)
+    return np.clip(np.exp(log_front) * _beta_cf(x, a, b), 0.0, 1.0)
+
+
+def reg_inc_beta(x, a: float, b: float):
     """Regularized incomplete beta function I_x(a, b).
 
     Args:
-        x: Upper integration limit in [0, 1].
+        x: Upper integration limit in [0, 1]; a scalar or an array.
         a: First shape parameter, > 0.
         b: Second shape parameter, > 0.
 
     Returns:
-        I_x(a, b) with absolute error below 1e-12; the complement
-        identity I_x(a, b) = 1 - I_{1-x}(b, a) is applied for x past
-        the distribution bulk so the continued fraction always runs in
-        its rapidly converging regime.
+        I_x(a, b) elementwise with absolute error below 1e-12, as a float
+        for scalar x and an array of x's shape otherwise.  The complement
+        identity I_x(a, b) = 1 - I_{1-x}(b, a) is applied for x past the
+        distribution bulk so the continued fraction always runs in its
+        rapidly converging regime.
     """
-    x = _require_number("x", x)
+    x = _require_numbers("x", x)
     a = _require_number("a", a)
     b = _require_number("b", b)
     if a <= 0.0 or b <= 0.0:
         raise ValueError(f"shape parameters must be positive, got a={a}, b={b}")
-    if x < 0.0 or x > 1.0:
-        raise ValueError(f"x must lie in [0, 1], got {x}")
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
-    if x > (a + 1.0) / (a + b + 2.0):
-        return 1.0 - reg_inc_beta(1.0 - x, b, a)
-    log_front = a * math.log(x) + b * math.log1p(-x) - _log_beta(a, b) - math.log(a)
-    value = math.exp(log_front) * _beta_cf(x, a, b)
-    return min(max(value, 0.0), 1.0)
+    outside = (x < 0.0) | (x > 1.0)
+    if outside.any():
+        raise ValueError(f"x must lie in [0, 1], got {x[outside][0]}")
+    log_beta = _log_beta(a, b)  # symmetric in (a, b), so both sides share it
+    flat = x.ravel()
+    out = np.empty_like(flat)
+    for start in range(0, flat.size, _CHUNK):
+        xs = flat[start:start + _CHUNK]
+        vals = (xs == 1.0).astype(float)  # I_0 = 0 and I_1 = 1 exactly
+        inner = (xs > 0.0) & (xs < 1.0)
+        flip = xs > (a + 1.0) / (a + b + 2.0)
+        low, high = inner & ~flip, inner & flip
+        vals[low] = _reg_inc_beta_inner(xs[low], a, b, log_beta)
+        vals[high] = 1.0 - _reg_inc_beta_inner(1.0 - xs[high], b, a, log_beta)
+        out[start:start + _CHUNK] = vals
+    return _float_or_array(out.reshape(x.shape))
 
 
-def f_cdf(x: float, d1: int, d2: int) -> float:
-    """CDF of the F distribution with (d1, d2) degrees of freedom at x >= 0."""
-    x = _require_number("x", x)
+def f_cdf(x, d1: int, d2: int):
+    """CDF of the F distribution with (d1, d2) degrees of freedom at x >= 0.
+
+    Elementwise for array x, with the same return convention as
+    ``reg_inc_beta``; x = inf maps to 1.
+    """
+    x = _require_numbers("x", x)
     d1 = int(d1)
     d2 = int(d2)
     if d1 < 1 or d2 < 1:
         raise ValueError(f"degrees of freedom must be >= 1, got ({d1}, {d2})")
-    if x < 0.0:
-        raise ValueError(f"f_cdf requires x >= 0, got {x}")
-    if math.isinf(x):
-        return 1.0
-    arg = d1 * x / (d1 * x + d2)
+    negative = x < 0.0
+    if negative.any():
+        raise ValueError(f"f_cdf requires x >= 0, got {x[negative][0]}")
+    arg = np.ones_like(x)
+    finite = np.isfinite(x)
+    arg[finite] = d1 * x[finite] / (d1 * x[finite] + d2)
     return reg_inc_beta(arg, 0.5 * d1, 0.5 * d2)
 
 

@@ -94,7 +94,9 @@ def ks_test(samples, cdf, alpha: float = 0.01, name: str = "ks") -> StatTestResu
     Args:
         samples: At least 10 real observations.
         cdf: Hypothesized distribution function, nondecreasing with
-            range inside [0, 1]; called once per sorted sample.
+            range inside [0, 1].  It is called once, on the sorted
+            sample array, and must return an array of the same shape
+            with finite values.
         alpha: Significance level; the test passes iff p >= alpha.
         name: Label carried into the result and JSON report.
 
@@ -108,7 +110,12 @@ def ks_test(samples, cdf, alpha: float = 0.01, name: str = "ks") -> StatTestResu
         raise ValueError(f"ks_test needs at least 10 samples, got {n}")
     if np.isnan(xs).any():
         raise ValueError("samples contain NaN")
-    f = np.array([cdf(float(x)) for x in xs], dtype=float)
+    f = np.asarray(cdf(xs), dtype=float)
+    if f.shape != xs.shape:
+        raise ValueError(f"cdf returned shape {f.shape} for {n} samples; "
+                         "it must evaluate the sample array elementwise")
+    if not np.isfinite(f).all():
+        raise ValueError("cdf returned a non-finite value")
     if f.min() < -1e-12 or f.max() > 1.0 + 1e-12:
         raise ValueError("cdf returned values outside [0, 1]")
     grid = np.arange(1, n + 1, dtype=float) / n
@@ -118,11 +125,15 @@ def ks_test(samples, cdf, alpha: float = 0.01, name: str = "ks") -> StatTestResu
     return _make_result(name, stat, kolmogorov_sf(math.sqrt(n) * stat), n, alpha)
 
 
-def sphere_coord_cdf(t: float, d: int) -> float:
-    """P(u_1 <= t) for u uniform on the unit sphere in R^d, d >= 2."""
-    t = float(t)
-    if math.isnan(t) or not -1.0 <= t <= 1.0:
-        raise ValueError(f"coordinate bound must lie in [-1, 1], got {t}")
+def sphere_coord_cdf(t, d: int):
+    """P(u_1 <= t) for u uniform on the unit sphere in R^d, d >= 2.
+
+    Elementwise for array t, with ``reg_inc_beta``'s return convention.
+    """
+    t = np.asarray(t, dtype=float)
+    inside = (t >= -1.0) & (t <= 1.0)
+    if not inside.all():
+        raise ValueError(f"coordinate bound must lie in [-1, 1], got {t[~inside][0]}")
     d = int(d)
     if d < 2:
         raise ValueError(f"sphere coordinate law needs d >= 2, got {d}")

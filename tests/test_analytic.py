@@ -63,6 +63,18 @@ class TestCollisionProb:
                                        - collision_prob_closed(r, d)))
         assert worst <= 1e-10
 
+    def test_array_radius(self):
+        rs = np.arange(0.01, 0.995, 0.01)
+        for d in (1, 2, 3, 5):
+            exact = collision_prob_exact(rs, d)
+            assert exact.shape == rs.shape
+            np.testing.assert_allclose(exact, [collision_prob_exact(r, d) for r in rs],
+                                       rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(collision_prob_closed(rs, 2), collision_prob_exact(rs, 2),
+                                   rtol=0.0, atol=1e-10)
+        with pytest.raises(ValueError):
+            collision_prob_exact(np.array([0.5, 1.0]), 2)
+
     def test_closed_rejects_high_dimension(self):
         with pytest.raises(ValueError):
             collision_prob_closed(0.5, 4)
@@ -147,6 +159,32 @@ class TestDensities:
                 assert location_density_limit(y, d) == base_lim
                 assert conditional_location_density(y, d) == base_cond
 
+    def test_rows_invariant_under_signed_permutations(self):
+        rng = np.random.default_rng(4)
+        n = 50
+        for d in (2, 3, 6):
+            x = rng.standard_normal((n, d))
+            perms = rng.permuted(np.tile(np.arange(d), (n, 1)), axis=1)
+            y = np.take_along_axis(x, perms, axis=1) * rng.choice([-1.0, 1.0], size=(n, d))
+            for density in (location_density_limit, conditional_location_density):
+                assert np.array_equal(density(y, d), density(x, d))
+
+    def test_rows_match_single_point_calls(self):
+        rng = np.random.default_rng(5)
+        for d in (1, 2, 5):
+            x = rng.standard_normal((40, d)) * 2.0
+            for density in (location_density_limit, conditional_location_density):
+                got = density(x, d)
+                assert got.shape == (40,)
+                assert np.array_equal(got, [density(row, d) for row in x])
+                assert type(density(x[0], d)) is float
+
+    def test_wrong_point_width_rejected(self):
+        with pytest.raises(ValueError):
+            location_density_limit(np.zeros((4, 3)), 2)
+        with pytest.raises(ValueError):
+            conditional_location_density(np.full((2, 2), np.nan), 2)
+
     def test_conditional_density_d2_origin(self):
         assert conditional_location_density(np.zeros(2), 2) == pytest.approx(
             1.0 / math.pi, rel=1e-14)
@@ -178,6 +216,13 @@ class TestRadialCdf:
         vals = [radial_cdf_conditional(a / 10.0, 3) for a in range(0, 80)]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
+    def test_array_input(self):
+        a = np.array([0.0, 0.1, 1.0, 7.0, math.inf])
+        got = radial_cdf_conditional(a, 3)
+        np.testing.assert_allclose(got, scipy.stats.f.cdf(a * a, 3, 3), rtol=0.0, atol=1e-12)
+        with pytest.raises(ValueError):
+            radial_cdf_conditional(np.array([0.5, -0.1]), 3)
+
 
 class TestCauchyCdf1d:
     def test_frozen_values(self):
@@ -193,6 +238,13 @@ class TestCauchyCdf1d:
         xs = [(-50 + i) / 5.0 for i in range(100)]
         vals = [cauchy_cdf_1d(x, 0.4) for x in xs]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
+
+    def test_array_input(self):
+        xs = np.linspace(-10.0, 10.0, 41)
+        got = cauchy_cdf_1d(xs, 0.4)
+        assert np.array_equal(got, [cauchy_cdf_1d(x, 0.4) for x in xs])
+        with pytest.raises(ValueError):
+            cauchy_cdf_1d(np.array([0.0, np.nan]), 0.4)
 
 
 class TestUnitSphereArea:

@@ -67,7 +67,7 @@ class TestElementarySamplers:
         # twice the squared half-difference speed is chi-square with d dof
         d = 4
         s = sample_relative_speed(block_rng(5, 0), d, size=50_000)
-        res = ks_test(2.0 * s * s, lambda x: float(scipy.stats.chi2.cdf(x, d)),
+        res = ks_test(2.0 * s * s, lambda x: scipy.stats.chi2.cdf(x, d),
                       alpha=1e-3)
         assert res.passed
 
@@ -87,7 +87,7 @@ class TestElementarySamplers:
         base = sphere_coord_cdf(c, d)
 
         def cap_cdf(t):
-            t = min(max(t, c), 1.0)
+            t = np.clip(t, c, 1.0)
             return (sphere_coord_cdf(t, d) - base) / (1.0 - base)
 
         res = ks_test(z[:, 0], cap_cdf, alpha=1e-3)

@@ -5,13 +5,23 @@ arithmetic and rounded to the nearest double; scipy serves as a second,
 independently implemented oracle over wider grids.
 """
 
+import json
 import math
 
+import numpy as np
 import pytest
 import scipy.special as sps
 import scipy.stats
 
-from collide.specfun import f_cdf, kolmogorov_sf, log_gamma, reg_inc_beta
+from collide.specfun import _CHUNK, f_cdf, kolmogorov_sf, log_gamma, reg_inc_beta
+
+# Shape parameters from the regimes of DiDonato & Morris (ACM TOMS 708):
+# a or b below 1, equal to 1, between 1 and 2, moderate and large.
+SHAPES = (0.5, 1.0, 1.5, 3.0, 20.0)
+# Both sides of the complement switch, down to subnormal-adjacent x and
+# up to the last doubles below 1.
+X_GRID = np.array([0.0, 1e-300, 1e-8, 1e-3, 0.1, 0.3, 0.5, 0.7, 0.9,
+                   1.0 - 1e-8, 1.0 - 1e-12, 1.0])
 
 
 class TestLogGamma:
@@ -82,6 +92,60 @@ class TestRegIncBeta:
     def test_domain_errors(self, x, a, b):
         with pytest.raises(ValueError):
             reg_inc_beta(x, a, b)
+
+
+class TestArrayPath:
+    @pytest.mark.parametrize("a", SHAPES)
+    @pytest.mark.parametrize("b", SHAPES)
+    def test_reg_inc_beta_matches_scipy(self, a, b):
+        got = reg_inc_beta(X_GRID, a, b)
+        assert got.shape == X_GRID.shape
+        # scipy's betainc loses digits next to x = 1 for a = 1/2 (3.5e-11
+        # at x = 1 - 1e-12); its complement betaincc does not, so the
+        # oracle takes the upper half of [0, 1] from betaincc
+        want = np.where(X_GRID <= 0.5, sps.betainc(a, b, X_GRID),
+                        1.0 - sps.betaincc(a, b, X_GRID))
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("d1", [1, 2, 3, 6, 40])
+    @pytest.mark.parametrize("d2", [1, 2, 3, 6, 40])
+    def test_f_cdf_matches_scipy(self, d1, d2):
+        x = np.array([0.0, 1e-300, 1e-8, 1e-3, 0.1, 0.5, 1.0, 2.0, 10.0, 1e3, math.inf])
+        got = f_cdf(x, d1, d2)
+        np.testing.assert_allclose(got, scipy.stats.f.cdf(x, d1, d2), rtol=0.0, atol=1e-12)
+        assert got[-1] == 1.0
+
+    def test_chunk_boundaries_match_scalar_calls(self):
+        # 2 full chunks and 3 more elements, both sides of the switch mixed
+        n = 2 * _CHUNK + 3
+        x = np.random.default_rng(8).permutation(np.linspace(0.0, 1.0, n))
+        got = reg_inc_beta(x, 1.5, 3.0)
+        want = np.array([reg_inc_beta(np.asarray(v), 1.5, 3.0) for v in x])
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
+
+    def test_shape_is_kept(self):
+        x = np.linspace(0.0, 1.0, 12).reshape(3, 4)
+        assert reg_inc_beta(x, 2.0, 3.0).shape == (3, 4)
+        assert f_cdf(x, 2, 5).shape == (3, 4)
+        assert reg_inc_beta(np.array([]), 2.0, 3.0).shape == (0,)
+
+    @pytest.mark.parametrize("bad", [math.nan, -0.1, 1.1])
+    def test_one_bad_element_raises(self, bad):
+        x = np.linspace(0.0, 1.0, _CHUNK + 10)
+        x[_CHUNK + 5] = bad
+        with pytest.raises(ValueError):
+            reg_inc_beta(x, 2.0, 3.0)
+        if bad != 1.1:
+            with pytest.raises(ValueError):
+                f_cdf(x, 2, 3)
+
+    def test_zero_d_result_is_a_float(self):
+        for value in (reg_inc_beta(np.asarray(0.25), 2.0, 3.0),
+                      reg_inc_beta(np.float64(0.25), 2.0, 3.0),
+                      f_cdf(np.asarray(math.inf), 3, 5),
+                      f_cdf(1.0, 2, 2)):
+            assert type(value) is float
+            assert json.loads(json.dumps(value)) == value
 
 
 class TestFCdf:

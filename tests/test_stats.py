@@ -19,7 +19,7 @@ from collide.stats import (
 class TestKsTest:
     def test_null_accepts(self):
         g = np.random.default_rng(0)
-        res = ks_test(g.random(100_000), lambda x: min(max(x, 0.0), 1.0), alpha=0.01)
+        res = ks_test(g.random(100_000), lambda x: np.clip(x, 0.0, 1.0), alpha=0.01)
         assert res.passed
         assert res.n == 100_000
 
@@ -27,7 +27,7 @@ class TestKsTest:
         # under the null the rejection rate at alpha=0.01 stays near 0.01
         g = np.random.default_rng(1234)
         low = sum(
-            ks_test(g.random(10_000), lambda x: min(max(x, 0.0), 1.0)).p_value < 0.01
+            ks_test(g.random(10_000), lambda x: np.clip(x, 0.0, 1.0)).p_value < 0.01
             for _ in range(200)
         )
         assert low / 200 <= 0.05
@@ -35,20 +35,20 @@ class TestKsTest:
     def test_wrong_scale_rejected(self):
         g = np.random.default_rng(5)
         samples = g.standard_cauchy(10_000)
-        half_scale = lambda x: 0.5 + math.atan(x / 0.5) / math.pi
+        half_scale = lambda x: 0.5 + np.arctan(x / 0.5) / math.pi
         res = ks_test(samples, half_scale, alpha=0.01)
         assert not res.passed
         assert res.p_value < 1e-6
 
     def test_constant_samples_fail(self):
-        res = ks_test(np.full(50, 0.5), lambda x: min(max(x, 0.0), 1.0))
+        res = ks_test(np.full(50, 0.5), lambda x: np.clip(x, 0.0, 1.0))
         assert res.statistic >= 0.5
         assert not res.passed
 
     def test_statistic_matches_scipy(self):
         g = np.random.default_rng(9)
         samples = g.random(5_000)
-        uniform = lambda x: min(max(x, 0.0), 1.0)
+        uniform = lambda x: np.clip(x, 0.0, 1.0)
         res = ks_test(samples, uniform)
         ref = scipy.stats.kstest(samples, "uniform")
         assert res.statistic == pytest.approx(ref.statistic, abs=1e-12)
@@ -61,6 +61,34 @@ class TestKsTest:
     def test_bad_cdf_range(self):
         with pytest.raises(ValueError):
             ks_test(np.linspace(0.1, 0.9, 20), lambda x: 1.5 * x)
+
+    def test_non_finite_cdf_rejected(self):
+        # a NaN from the cdf must not reach the p-value as a NaN statistic
+        def nan_at_median(x):
+            f = np.clip(x, 0.0, 1.0)
+            f[x.size // 2] = math.nan
+            return f
+
+        for cdf in (nan_at_median, lambda x: np.where(x > 0.5, math.inf, x)):
+            with pytest.raises(ValueError, match="non-finite"):
+                ks_test(np.linspace(0.1, 0.9, 20), cdf)
+
+    def test_cdf_called_once_on_sorted_array(self):
+        calls = []
+
+        def uniform(x):
+            calls.append(np.array(x))
+            return np.clip(x, 0.0, 1.0)
+
+        samples = np.random.default_rng(4).random(50)
+        ks_test(samples, uniform)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(calls[0], np.sort(samples))
+
+    @pytest.mark.parametrize("cdf", [lambda x: 0.5, lambda x: x[:-1], lambda x: x[:, None]])
+    def test_wrong_cdf_shape_rejected(self, cdf):
+        with pytest.raises(ValueError, match="shape"):
+            ks_test(np.linspace(0.1, 0.9, 20), cdf)
 
     def test_json_fields(self):
         res = ks_test(np.linspace(0.001, 0.999, 100), lambda x: x, name="u")

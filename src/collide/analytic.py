@@ -15,14 +15,12 @@ Gaussian vectors.  The functions here answer, without simulation:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .specfun import _float_or_array, f_cdf, log_gamma
 
 __all__ = [
-    "ModelParams",
     "collision_prob_exact",
     "collision_prob_closed",
     "asymptotic_prob_coefficient",
@@ -51,18 +49,6 @@ def _check_radius(r):
     if not inside.all():
         raise ValueError(f"radius must lie strictly inside (0, 1), got {r[~inside][0]}")
     return _float_or_array(r)
-
-
-@dataclass(frozen=True)
-class ModelParams:
-    """Validated (dimension, radius) pair for the two-ball model."""
-
-    d: int
-    r: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "d", _check_dim(self.d))
-        object.__setattr__(self, "r", _check_radius(self.r))
 
 
 def _norm_sq(x, d: int):

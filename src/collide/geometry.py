@@ -11,6 +11,11 @@ the bodies touch iff the ray from the origin in direction
 -v_half_diff/|v_half_diff| meets body one, and the first-contact time
 divides the ray's entry scale by |v_half_diff|.  The contact point is
 then v_mean * t: the midpoint, carried by the drift alone.
+
+A body is a shape oracle; besides ``dim`` the engines use only two methods:
+``contact_scales(z)`` gives the ray's entry scale for unit rows z (+inf
+on a miss), and ``bounding_cap()`` gives a unit axis u and a cosine c
+such that every hitting direction z satisfies z . u >= c.
 """
 
 from __future__ import annotations
@@ -21,21 +26,18 @@ from typing import Optional, Union
 
 import numpy as np
 
+from .analytic import _check_radius
 from .rng import block_rng, block_spans
 from .stats import EstimateReport, binomial_ci
 
 __all__ = [
     "VelocityPair",
     "ComSplit",
-    "CollisionEvent",
     "Ball",
     "Ellipsoid",
     "ShapeOracle",
     "com_split",
-    "collision_criterion",
     "collision_time",
-    "contact_point",
-    "collision_event",
     "contact_scale",
     "hit_fraction_mc",
 ]
@@ -54,13 +56,6 @@ def _as_vector(name: str, v) -> np.ndarray:
     if np.isnan(arr).any():
         raise ValueError(f"{name} contains NaN")
     return arr
-
-
-def _check_radius(r: float) -> float:
-    r = float(r)
-    if math.isnan(r) or not 0.0 < r < 1.0:
-        raise ValueError(f"radius must lie strictly inside (0, 1), got {r}")
-    return r
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,24 +86,6 @@ class ComSplit:
     v_half_diff: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
-class CollisionEvent:
-    """Outcome of one trajectory pair: time and place of first contact, if any."""
-
-    collided: bool
-    t: Optional[float] = None
-    c: Optional[np.ndarray] = None
-
-    def __post_init__(self) -> None:
-        if self.collided:
-            if self.t is None or self.c is None:
-                raise ValueError("a collision must carry a time and a contact point")
-            if not self.t > 0.0:
-                raise ValueError(f"collision time must be positive, got {self.t}")
-        elif self.t is not None or self.c is not None:
-            raise ValueError("a miss carries neither time nor contact point")
-
-
 def com_split(pair: VelocityPair) -> ComSplit:
     """Splits (v1, v2) into midpoint drift and half the velocity difference."""
     return ComSplit(
@@ -117,64 +94,23 @@ def com_split(pair: VelocityPair) -> ComSplit:
     )
 
 
-def _closing_terms(pair: VelocityPair, r: float) -> tuple[float, float, float]:
-    """Shared quantities for the contact test and the contact time.
-
-    Returns (dv1, dvsq, disc): first component and squared norm of the
-    velocity difference, and the discriminant of the contact quadratic
-    scaled by 1/4.  The criterion and the solver both branch on exactly
-    these values, so they can never disagree.
-    """
-    dv = pair.v1 - pair.v2
-    dv1 = float(dv[0])
-    dvsq = float(np.dot(dv, dv))
-    disc = dv1 * dv1 - (1.0 - r * r) * dvsq
-    return dv1, dvsq, disc
-
-
-def collision_criterion(pair: VelocityPair, r: float) -> bool:
-    """Whether the two balls of radius r ever touch.
-
-    True iff the velocity difference makes a small enough angle with the
-    line joining the centers: its first component must be positive and
-    at least sqrt(1 - r^2) times its norm.  In dimension one this is
-    exactly v1 > v2.
-    """
-    r = _check_radius(r)
-    dv1, dvsq, disc = _closing_terms(pair, r)
-    return dvsq > 0.0 and dv1 >= 0.0 and disc >= 0.0
-
-
 def collision_time(pair: VelocityPair, r: float) -> Optional[float]:
     """First time the balls of radius r touch, or None if they never do.
 
     The center distance passes 2r when |dv|^2 t^2 - 4 dv_1 t + 4(1-r^2)
     vanishes; the smaller positive root is returned through the
     product-of-roots form, which stays fully accurate when the two
-    roots are far apart.
+    roots are far apart.  The balls touch iff the velocity difference dv
+    has a nonnegative first component of at least sqrt(1 - r^2) |dv|.
     """
-    r = _check_radius(r)
-    dv1, dvsq, disc = _closing_terms(pair, r)
+    r = _check_radius(float(r))
+    dv = pair.v1 - pair.v2
+    dv1 = float(dv[0])
+    dvsq = float(np.dot(dv, dv))
+    disc = dv1 * dv1 - (1.0 - r * r) * dvsq
     if not (dvsq > 0.0 and dv1 >= 0.0 and disc >= 0.0):
         return None
     return 2.0 * (1.0 - r * r) / (dv1 + math.sqrt(disc))
-
-
-def contact_point(pair: VelocityPair, t: float) -> np.ndarray:
-    """Midpoint of the two centers at time t; the contact point when t
-    is the collision time."""
-    t = float(t)
-    if math.isnan(t) or t < 0.0:
-        raise ValueError(f"time must be >= 0, got {t}")
-    return 0.5 * (pair.v1 + pair.v2) * t
-
-
-def collision_event(pair: VelocityPair, r: float) -> CollisionEvent:
-    """Full outcome record for one pair: collided flag, time, contact point."""
-    t = collision_time(pair, r)
-    if t is None:
-        return CollisionEvent(collided=False)
-    return CollisionEvent(collided=True, t=t, c=contact_point(pair, t))
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +126,7 @@ class Ball:
     dim: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "radius", _check_radius(self.radius))
+        object.__setattr__(self, "radius", _check_radius(float(self.radius)))
         d = int(self.dim)
         if d < 1:
             raise ValueError(f"dimension must be >= 1, got {d}")
@@ -201,25 +137,29 @@ class Ball:
         """Smallest first coordinate of a unit direction that still hits."""
         return math.sqrt((1.0 - self.radius) * (1.0 + self.radius))
 
+    def bounding_cap(self) -> tuple[np.ndarray, float]:
+        """Axis e1 and the cap cosine: the cap is exactly the hit set."""
+        axis = np.zeros(self.dim)
+        axis[0] = 1.0
+        return axis, self.cap_cosine
+
     def contact_scales(self, z: np.ndarray) -> np.ndarray:
         """Entry scale of the ray -b z into the ball for unit rows z.
 
-        Vectorized over rows; misses come back as +inf.  The scale b
-        solves b^2 - 2 b z_1 + 1 - r^2 = 0; the smaller root is taken in
-        product form to avoid cancellation.  The discriminant is kept
-        factored as (z_1 - c)(z_1 + c) with c the cap cosine, so a
-        direction sitting exactly on the cap boundary grazes (double
-        root) instead of rounding to a miss.
+        Vectorized over rows; misses (and NaN rows) come back as +inf.
+        The scale b solves b^2 - 2 b z_1 + 1 - r^2 = 0; the smaller root
+        is taken in product form to avoid cancellation.  The
+        discriminant is kept factored as (z_1 - c)(z_1 + c) with c the
+        cap cosine, so a direction sitting exactly on the cap boundary
+        grazes (double root) instead of rounding to a miss.
         """
         z = np.atleast_2d(np.asarray(z, dtype=float))
         z1 = z[:, 0]
         c = self.cap_cosine
         disc = (z1 - c) * (z1 + c)
-        hit = (z1 > 0.0) & (disc >= 0.0)
-        out = np.full(z.shape[0], np.inf)
-        root = np.sqrt(np.where(hit, disc, 0.0))
-        out[hit] = (1.0 - self.radius) * (1.0 + self.radius) / (z1[hit] + root[hit])
-        return out
+        with np.errstate(invalid="ignore"):
+            scale = (1.0 - self.radius) * (1.0 + self.radius) / (z1 + np.sqrt(disc))
+        return np.where((z1 > 0.0) & (disc >= 0.0), scale, np.inf)
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,12 +205,29 @@ class Ellipsoid:
     def dim(self) -> int:
         return self.center.size
 
+    def bounding_cap(self) -> tuple[np.ndarray, float]:
+        """Axis and cosine of a cap that holds every hitting direction.
+
+        The ball of radius lambda_min(Q)^(-1/2) (the longest semi-axis)
+        around the center contains the body, and the directions whose
+        ray meets that ball form a cap around -center/|center|.  When
+        the ball holds the origin the cap is the whole sphere, cosine -1.
+        """
+        dist = float(np.linalg.norm(self.center))
+        reach = 1.0 / math.sqrt(float(np.linalg.eigvalsh(self.matrix)[0]))
+        axis = -self.center / dist
+        if reach >= dist:
+            return axis, -1.0
+        s = reach / dist
+        return axis, math.sqrt((1.0 - s) * (1.0 + s))
+
     def contact_scales(self, z: np.ndarray) -> np.ndarray:
         """Entry scale of the ray -b z into the ellipsoid for unit rows z.
 
         Solves (z^T Q z) b^2 + 2 (z^T Q x0) b + (x0^T Q x0 - 1) = 0 and
-        returns the smaller positive root, +inf on a miss.  A hit needs
-        z^T Q x0 < 0 (the ray must run toward the body) and a real root.
+        returns the smaller positive root, +inf on a miss or a NaN row.
+        A hit needs z^T Q x0 < 0 (the ray must run toward the body) and
+        a real root.
         """
         z = np.atleast_2d(np.asarray(z, dtype=float))
         qx0 = self.matrix @ self.center
@@ -278,11 +235,9 @@ class Ellipsoid:
         b = z @ qx0
         c0 = float(self.center @ qx0) - 1.0
         disc = b * b - a * c0
-        hit = (b < 0.0) & (disc >= 0.0)
-        out = np.full(z.shape[0], np.inf)
-        root = np.sqrt(np.where(hit, disc, 0.0))
-        out[hit] = c0 / (-b[hit] + root[hit])
-        return out
+        with np.errstate(invalid="ignore"):
+            scale = c0 / (-b + np.sqrt(disc))
+        return np.where((b < 0.0) & (disc >= 0.0), scale, np.inf)
 
 
 ShapeOracle = Union[Ball, Ellipsoid]
@@ -324,18 +279,11 @@ def hit_fraction_mc(shape: ShapeOracle, n: int, seed: int,
     d = shape.dim
     hits = 0
     for block, _start, count in block_spans(n):
-        g = block_rng(seed, block)
-        if d == 1:
-            z = g.standard_normal((count, 1))
-            norms = np.abs(z[:, 0])
-        else:
-            z = g.standard_normal((count, d))
-            norms = np.linalg.norm(z, axis=1)
-        ok = norms > 0.0
-        unit = np.zeros_like(z)
-        unit[ok] = z[ok] / norms[ok, None]
-        scales = shape.contact_scales(unit)
-        hits += int(np.isfinite(scales[ok]).sum())
+        z = block_rng(seed, block).standard_normal((count, d))
+        # a zero draw gives a NaN direction, which every shape reports as a miss
+        with np.errstate(invalid="ignore"):
+            scales = shape.contact_scales(z / np.linalg.norm(z, axis=1, keepdims=True))
+        hits += int(np.isfinite(scales).sum())
     p_hat = hits / n
     lo, hi = binomial_ci(hits, n, ci_level)
     return EstimateReport(

@@ -7,11 +7,13 @@ Two samplers share one reproducibility contract:
   estimates the collision probability directly, which becomes hopeless
   for small radii.
 * ``run_conditional`` generates only colliding trajectories by
-  factoring the motion into the hitting direction (uniform on the cap
-  of directions that meet the body, or rejection-sampled for general
-  bodies), the approach speed, and the independent midpoint drift.
-  Every trial is a collision; multiply conditional expectations by the
-  collision probability to recover unconditional ones.
+  factoring the motion into the hitting direction, the approach speed,
+  and the independent midpoint drift.  Hitting directions come from
+  bounding-cap proposals: uniform directions on the body's bounding cap,
+  kept where the ray meets the body.  For a ball the cap is exactly the
+  hit set, so every proposal is kept.  Every trial is a collision;
+  multiply conditional expectations by the collision probability to
+  recover unconditional ones.
 
 Reproducibility: trials are processed in fixed blocks of ``rng.BLOCK``;
 block i draws from a Philox stream keyed by (seed, i).  The result is a
@@ -34,30 +36,27 @@ from typing import IO, Iterable, Optional, Union
 
 import numpy as np
 
-from .geometry import Ball, ShapeOracle, VelocityPair
-from .rng import block_rng, block_spans
+from .geometry import ShapeOracle
+from .rng import block_rng, block_spans, check_seed
 from .stats import EstimateReport, binomial_ci
 
 __all__ = [
     "SimConfig",
     "Accumulator",
-    "Histogram",
-    "sample_velocity_pair",
     "sample_cap_direction",
     "sample_relative_speed",
     "run_naive",
     "run_conditional",
     "run",
-    "histogram",
     "proportion_report",
     "write_sample_csv",
 ]
 
 _SQRT_HALF = math.sqrt(0.5)
 
-# Rejection sampling of hitting directions aborts when it is clearly
-# going nowhere: fewer than one hit per million proposals after this
-# many draws inside a single block.
+# Bounding-cap proposals abort when they are clearly going nowhere:
+# fewer than one hit per million proposals after this many draws inside
+# a single block.
 _REJECTION_PROPOSAL_LIMIT = 10_000_000
 _REJECTION_MIN_RATE = 1e-6
 
@@ -69,8 +68,9 @@ class SimConfig:
     """One simulation run: body shape, trial count, seed, engine choice.
 
     workers = 0 means machine parallelism; any value is superseded by
-    the COLLIDE_THREADS environment variable when that is set.  The
-    worker count never affects results, only wall time.
+    the COLLIDE_THREADS environment variable when that is set, and no
+    more threads than blocks are started.  The worker count never
+    affects results, only wall time.  The seed lies in [0, 2**64).
     """
 
     shape: ShapeOracle
@@ -81,13 +81,13 @@ class SimConfig:
     sample_cap: int = DEFAULT_SAMPLE_CAP
 
     def __post_init__(self) -> None:
-        if not (hasattr(self.shape, "contact_scales") and hasattr(self.shape, "dim")):
+        if not all(hasattr(self.shape, a) for a in ("dim", "contact_scales", "bounding_cap")):
             raise ValueError(f"shape must be a shape oracle, got {type(self.shape).__name__}")
         n = int(self.n)
         if n < 1:
             raise ValueError(f"trial count must be >= 1, got {n}")
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", check_seed(self.seed))
         if self.sampler not in ("naive", "conditional"):
             raise ValueError(f"sampler must be 'naive' or 'conditional', got {self.sampler!r}")
         workers = int(self.workers)
@@ -153,10 +153,6 @@ class Accumulator:
         )
 
     @property
-    def time_samples(self) -> np.ndarray:
-        return self.sample_time
-
-    @property
     def location_samples(self) -> np.ndarray:
         return self.sample_location
 
@@ -212,26 +208,6 @@ def _collect(dim: int, cap: int, trials: int, outs: list[_BlockOut]) -> Accumula
 # ---------------------------------------------------------------------------
 # Elementary samplers
 # ---------------------------------------------------------------------------
-
-
-def sample_velocity_pair(rng: np.random.Generator, d: int, size: Optional[int] = None):
-    """Independent standard normal velocities for both bodies.
-
-    With size=None returns a single VelocityPair; with an integer size
-    returns a (v1, v2) pair of (size, d) arrays drawn in the same
-    per-trial layout the naive engine uses.
-    """
-    d = int(d)
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
-    m = 1 if size is None else int(size)
-    if m < 1:
-        raise ValueError(f"size must be >= 1, got {size}")
-    v = rng.standard_normal((m, 2 * d))
-    v1, v2 = v[:, :d], v[:, d:]
-    if size is None:
-        return VelocityPair(v1[0], v2[0])
-    return v1.copy(), v2.copy()
 
 
 def sample_relative_speed(rng: np.random.Generator, d: int, size: Optional[int] = None):
@@ -323,31 +299,31 @@ def sample_cap_direction(rng: np.random.Generator, d: int, c: float,
     return z[0] if size is None else z
 
 
-def _hit_directions(rng: np.random.Generator, shape: ShapeOracle, m: int) -> np.ndarray:
-    """Uniform sphere directions conditioned on the ray meeting the body."""
-    d = shape.dim
-    out = np.empty((m, d))
-    have = 0
-    proposals = 0
-    while have < m:
-        k = max(256, 2 * (m - have))
-        unit = _unit_rows(rng, k, d)
-        proposals += k
-        hits = unit[np.isfinite(shape.contact_scales(unit))]
-        take = min(hits.shape[0], m - have)
-        out[have:have + take] = hits[:take]
-        have += take
-        if proposals >= _REJECTION_PROPOSAL_LIMIT and have < _REJECTION_MIN_RATE * proposals:
-            raise RuntimeError(
-                f"hitting-direction rejection stalled: {have} hits in {proposals} "
-                f"proposals; the body is practically unreachable from the origin"
-            )
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Engines
 # ---------------------------------------------------------------------------
+
+
+def _cap_proposals(rng: np.random.Generator, axis: np.ndarray, c: float, k: int) -> np.ndarray:
+    """k uniform directions on the cap {z : z . axis >= c}; c = -1 is the sphere.
+
+    In one dimension a cap with c > 0 is the single point axis.
+    Otherwise cap directions are drawn around e1 and carried onto the
+    axis by the Householder reflection along v = axis - e1, which maps
+    e1 to the axis and is skipped when they coincide.
+    """
+    d = axis.size
+    if d == 1:
+        return np.tile(axis, (k, 1))
+    if c <= -1.0:
+        return _unit_rows(rng, k, d)
+    z = sample_cap_direction(rng, d, c, k)
+    v = axis.copy()
+    v[0] -= 1.0
+    vv = float(v @ v)
+    if vv > 0.0:
+        z -= np.outer(z @ v, v * (2.0 / vv))
+    return z
 
 
 def _naive_block(config: SimConfig, span: tuple[int, int, int], want_rows: bool) -> _BlockOut:
@@ -357,24 +333,13 @@ def _naive_block(config: SimConfig, span: tuple[int, int, int], want_rows: bool)
     v = g.standard_normal((m, 2 * d))
     prio = g.random(m)
     v1, v2 = v[:, :d], v[:, d:]
-    t = np.full(m, np.nan)
-    if isinstance(config.shape, Ball):
-        r = config.shape.radius
-        dv = v1 - v2
-        dv1 = dv[:, 0]
-        dvsq = np.einsum("ij,ij->i", dv, dv)
-        disc = dv1 * dv1 - (1.0 - r * r) * dvsq
-        collided = (dvsq > 0.0) & (dv1 >= 0.0) & (disc >= 0.0)
-        t[collided] = 2.0 * (1.0 - r * r) / (dv1[collided] + np.sqrt(disc[collided]))
-    else:
-        half = 0.5 * (v1 - v2)
-        speed = np.linalg.norm(half, axis=1)
-        moving = speed > 0.0
-        unit = np.zeros_like(half)
-        unit[moving] = half[moving] / speed[moving, None]
-        scales = config.shape.contact_scales(unit)
-        collided = moving & np.isfinite(scales)
-        t[collided] = scales[collided] / speed[collided]
+    half = 0.5 * (v1 - v2)
+    speed = np.sqrt(np.einsum("ij,ij->i", half, half))
+    # a zero speed gives NaN directions, which every shape reports as a miss
+    with np.errstate(invalid="ignore", divide="ignore"):
+        t = config.shape.contact_scales(half / speed[:, None]) / speed
+    collided = np.isfinite(t)
+    t = np.where(collided, t, np.nan)
     c = 0.5 * (v1 + v2) * t[:, None]
     idx = start + np.flatnonzero(collided)
     rows = (start + np.arange(m, dtype=np.int64), collided, t, c) if want_rows else None
@@ -386,14 +351,30 @@ def _conditional_block(config: SimConfig, span: tuple[int, int, int], want_rows:
     shape = config.shape
     d = shape.dim
     g = block_rng(config.seed, block)
-    if isinstance(shape, Ball):
-        if d == 1:
-            z = np.ones((m, 1))
-        else:
-            z = sample_cap_direction(g, d, shape.cap_cosine, m)
-    else:
-        z = _hit_directions(g, shape, m)
+    axis, cosine = shape.bounding_cap()
+    # the first round draws one proposal per trial, so a body whose cap is
+    # its hit set (a ball) takes that round alone; later rounds fill the
+    # rows whose proposal missed, each with an independent hit
+    z = _cap_proposals(g, axis, cosine, m)
     scale = shape.contact_scales(z)
+    proposals = m
+    missing = np.flatnonzero(~np.isfinite(scale))
+    while missing.size:
+        k = max(256, 2 * missing.size)
+        unit = _cap_proposals(g, axis, cosine, k)
+        proposals += k
+        scales = shape.contact_scales(unit)
+        hit = np.flatnonzero(np.isfinite(scales))[:missing.size]
+        fill, missing = missing[:hit.size], missing[hit.size:]
+        z[fill] = unit[hit]
+        scale[fill] = scales[hit]
+        have = m - missing.size
+        if proposals >= _REJECTION_PROPOSAL_LIMIT and have < _REJECTION_MIN_RATE * proposals:
+            raise RuntimeError(
+                f"bounding-cap proposals stalled in block {block}: {have} hits in "
+                f"{proposals} proposals (cap cosine {cosine}); the body is practically "
+                f"unreachable from the origin"
+            )
     speed = sample_relative_speed(g, d, m)
     drift = g.standard_normal((m, d)) * _SQRT_HALF
     prio = g.random(m)
@@ -404,7 +385,9 @@ def _conditional_block(config: SimConfig, span: tuple[int, int, int], want_rows:
     return _BlockOut(m, idx, prio, t, c, rows)
 
 
-def _resolve_workers(requested: int) -> int:
+def _resolve_workers(requested: int, blocks: int) -> int:
+    """Worker threads for a run of ``blocks`` blocks: COLLIDE_THREADS if
+    set, else the request, else the CPU count, never more than blocks."""
     env = os.environ.get("COLLIDE_THREADS")
     if env is not None:
         try:
@@ -413,17 +396,18 @@ def _resolve_workers(requested: int) -> int:
             raise ValueError(f"COLLIDE_THREADS must be an integer, got {env!r}") from None
         if value < 1:
             raise ValueError(f"COLLIDE_THREADS must be >= 1, got {value}")
-        return value
-    if requested > 0:
-        return requested
-    return os.cpu_count() or 1
+    elif requested > 0:
+        value = requested
+    else:
+        value = os.cpu_count() or 1
+    return min(value, blocks)
 
 
 def _drive(config: SimConfig, block_fn, dump) -> Accumulator:
     spans = block_spans(config.n)
-    workers = _resolve_workers(config.workers)
+    workers = _resolve_workers(config.workers, len(spans))
     want_rows = dump is not None
-    if workers == 1 or len(spans) == 1:
+    if workers == 1:
         outs = [block_fn(config, s, want_rows) for s in spans]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -487,53 +471,8 @@ def proportion_report(acc: Accumulator, seed: int, sampler: str,
 
 
 # ---------------------------------------------------------------------------
-# Histogram and CSV output
+# CSV output
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class Histogram:
-    """Fixed uniform binning of scalar samples with explicit flow counts."""
-
-    lo: float
-    hi: float
-    bins: int
-    counts: np.ndarray
-    underflow: int
-    overflow: int
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum()) + self.underflow + self.overflow
-
-    @property
-    def edges(self) -> np.ndarray:
-        return np.linspace(self.lo, self.hi, self.bins + 1)
-
-
-def histogram(samples, lo: float, hi: float, bins: int) -> Histogram:
-    """Bins samples uniformly on [lo, hi).
-
-    Bins are lower-edge inclusive; values below lo and at or above hi
-    land in the explicit underflow/overflow counters, so the total
-    always matches the sample count.
-    """
-    lo = float(lo)
-    hi = float(hi)
-    bins = int(bins)
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got [{lo}, {hi})")
-    if bins < 1:
-        raise ValueError(f"need at least one bin, got {bins}")
-    xs = np.asarray(samples, dtype=float).ravel()
-    if np.isnan(xs).any():
-        raise ValueError("samples contain NaN")
-    pos = np.floor((xs - lo) / ((hi - lo) / bins)).astype(np.int64)
-    under = int((pos < 0).sum())
-    over = int((pos >= bins).sum())
-    inside = pos[(pos >= 0) & (pos < bins)]
-    counts = np.bincount(inside, minlength=bins).astype(np.int64)
-    return Histogram(lo=lo, hi=hi, bins=bins, counts=counts, underflow=under, overflow=over)
 
 
 def _fmt(value: float) -> str:

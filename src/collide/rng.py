@@ -15,18 +15,31 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["BLOCK", "block_rng", "block_spans"]
+__all__ = ["BLOCK", "block_rng", "block_spans", "check_seed", "offset_seed"]
 
 BLOCK = 8192
 
-_U64_MASK = (1 << 64) - 1
+_SEED_LIMIT = 1 << 64
+
+
+def check_seed(seed: int) -> int:
+    """Returns seed as an int; a master seed is one Philox key word, [0, 2**64)."""
+    seed = int(seed)
+    if not 0 <= seed < _SEED_LIMIT:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    return seed
+
+
+def offset_seed(seed: int, k: int) -> int:
+    """Seed of a run's k-th derived stream: seed + k, wrapped into [0, 2**64)."""
+    return (check_seed(seed) + k) % _SEED_LIMIT
 
 
 def block_rng(seed: int, block: int) -> np.random.Generator:
     """Generator for one trial block, keyed by (seed, block index)."""
     if block < 0:
         raise ValueError(f"block index must be >= 0, got {block}")
-    key = np.array([int(seed) & _U64_MASK, int(block)], dtype=np.uint64)
+    key = np.array([check_seed(seed), int(block)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 

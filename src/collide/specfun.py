@@ -144,6 +144,29 @@ def _reg_inc_beta_inner(x: np.ndarray, a: float, b: float, log_beta: float) -> n
     return np.clip(np.exp(log_front) * _beta_cf(x, a, b), 0.0, 1.0)
 
 
+def _reg_inc_beta_sides(x: np.ndarray, y: np.ndarray, a: float, b: float) -> np.ndarray:
+    """I_x(a, b) for flat arrays x and y = 1 - x, each formed by the caller.
+
+    Past the distribution bulk the complement identity
+    I_x(a, b) = 1 - I_y(b, a) keeps the continued fraction in its rapidly
+    converging regime; it reads y as given, so a caller that can form y
+    without cancellation keeps its accuracy next to x = 1.
+    """
+    log_beta = _log_beta(a, b)  # symmetric in (a, b), so both sides share it
+    flip_at = (a + 1.0) / (a + b + 2.0)
+    out = np.empty_like(y)
+    for start in range(0, y.size, _CHUNK):
+        xs, ys = x[start:start + _CHUNK], y[start:start + _CHUNK]
+        vals = (ys == 0.0).astype(float)  # I_0 = 0 and I_1 = 1 exactly
+        inner = (xs > 0.0) & (ys > 0.0)
+        flip = xs > flip_at
+        low, high = inner & ~flip, inner & flip
+        vals[low] = _reg_inc_beta_inner(xs[low], a, b, log_beta)
+        vals[high] = 1.0 - _reg_inc_beta_inner(ys[high], b, a, log_beta)
+        out[start:start + _CHUNK] = vals
+    return out
+
+
 def reg_inc_beta(x, a: float, b: float):
     """Regularized incomplete beta function I_x(a, b).
 
@@ -167,19 +190,8 @@ def reg_inc_beta(x, a: float, b: float):
     outside = (x < 0.0) | (x > 1.0)
     if outside.any():
         raise ValueError(f"x must lie in [0, 1], got {x[outside][0]}")
-    log_beta = _log_beta(a, b)  # symmetric in (a, b), so both sides share it
     flat = x.ravel()
-    out = np.empty_like(flat)
-    for start in range(0, flat.size, _CHUNK):
-        xs = flat[start:start + _CHUNK]
-        vals = (xs == 1.0).astype(float)  # I_0 = 0 and I_1 = 1 exactly
-        inner = (xs > 0.0) & (xs < 1.0)
-        flip = xs > (a + 1.0) / (a + b + 2.0)
-        low, high = inner & ~flip, inner & flip
-        vals[low] = _reg_inc_beta_inner(xs[low], a, b, log_beta)
-        vals[high] = 1.0 - _reg_inc_beta_inner(1.0 - xs[high], b, a, log_beta)
-        out[start:start + _CHUNK] = vals
-    return _float_or_array(out.reshape(x.shape))
+    return _float_or_array(_reg_inc_beta_sides(flat, 1.0 - flat, a, b).reshape(x.shape))
 
 
 def f_cdf(x, d1: int, d2: int):
@@ -196,10 +208,14 @@ def f_cdf(x, d1: int, d2: int):
     negative = x < 0.0
     if negative.any():
         raise ValueError(f"f_cdf requires x >= 0, got {x[negative][0]}")
-    arg = np.ones_like(x)
-    finite = np.isfinite(x)
-    arg[finite] = d1 * x[finite] / (d1 * x[finite] + d2)
-    return reg_inc_beta(arg, 0.5 * d1, 0.5 * d2)
+    dx = d1 * x.ravel()
+    # The complement d2 / (d1 x + d2) is formed directly: 1 minus the
+    # argument would cancel where the argument rounds next to 1.  x = inf
+    # gives a NaN argument and a complement of 0, which is the CDF's 1.
+    with np.errstate(invalid="ignore"):
+        arg = dx / (dx + d2)
+    out = _reg_inc_beta_sides(arg, d2 / (dx + d2), 0.5 * d1, 0.5 * d2)
+    return _float_or_array(out.reshape(x.shape))
 
 
 # Below this point the alternating series for the Kolmogorov law equals 1

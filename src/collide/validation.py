@@ -17,7 +17,7 @@ import numpy as np
 from . import analytic, stats
 from .geometry import Ball, Ellipsoid, VelocityPair, collision_time, com_split, contact_scale
 from .montecarlo import SimConfig, run_conditional, run_naive
-from .rng import block_rng
+from .rng import block_rng, check_seed, offset_seed
 
 __all__ = ["SUITES", "run_suite", "suite_analytic", "suite_mc", "suite_location", "suite_rotation"]
 
@@ -158,7 +158,7 @@ def _consistency_check(seed: int) -> dict:
     acc_n = run_naive(SimConfig(shape=shape, n=n_naive, seed=seed))
     inside_n = int((np.linalg.norm(acc_n.location_samples, axis=1) <= 1.0).sum())
     q_hat = inside_n / n_naive
-    acc_c = run_conditional(SimConfig(shape=shape, n=n_cond, seed=seed + 1, sampler="conditional"))
+    acc_c = run_conditional(SimConfig(shape=shape, n=n_cond, seed=offset_seed(seed, 1), sampler="conditional"))
     m_hat = float((np.linalg.norm(acc_c.location_samples, axis=1) <= 1.0).mean())
     joint = p * m_hat
     sigma = math.sqrt(q_hat * (1.0 - q_hat) / n_naive + p * p * m_hat * (1.0 - m_hat) / n_cond)
@@ -189,12 +189,12 @@ def _determinism_check(seed: int) -> dict:
 def suite_mc(seed: int = 42) -> list[dict]:
     checks = [
         _naive_prob_check("naive_prob_d2", 2, 0.5, 10**6, seed),
-        _naive_prob_check("naive_prob_d3", 3, 0.6, 10**6, seed + 1),
-        _naive_prob_check("naive_prob_d1", 1, 0.5, 10**6, seed + 2),
-        _solver_agreement_check(2, 0.3, 10**4, seed + 3),
-        _solver_agreement_check(3, 0.3, 10**4, seed + 4),
-        _consistency_check(seed + 5),
-        _determinism_check(seed + 6),
+        _naive_prob_check("naive_prob_d3", 3, 0.6, 10**6, offset_seed(seed, 1)),
+        _naive_prob_check("naive_prob_d1", 1, 0.5, 10**6, offset_seed(seed, 2)),
+        _solver_agreement_check(2, 0.3, 10**4, offset_seed(seed, 3)),
+        _solver_agreement_check(3, 0.3, 10**4, offset_seed(seed, 4)),
+        _consistency_check(offset_seed(seed, 5)),
+        _determinism_check(offset_seed(seed, 6)),
     ]
     return checks
 
@@ -218,7 +218,7 @@ def suite_location(alpha: float = 0.01, seed: int = 42) -> list[dict]:
     # measured headroom instead of consecutive seeds.
     for d, offset in ((2, 1), (3, 6)):
         acc = run_conditional(SimConfig(shape=Ball(radius=0.01, dim=d), n=10**5,
-                                        seed=seed + offset, sampler="conditional"))
+                                        seed=offset_seed(seed, offset), sampler="conditional"))
         sq = np.einsum("ij,ij->i", acc.location_samples, acc.location_samples)
         res = stats.ks_test(sq, lambda x: analytic.radial_cdf_conditional(np.sqrt(x), d),
                             alpha=alpha, name=f"radial_f_law_d{d}")
@@ -232,7 +232,7 @@ def suite_rotation(alpha: float = 0.01, seed: int = 42) -> list[dict]:
     checks = []
     for i, d in enumerate((2, 3)):
         acc = run_conditional(SimConfig(shape=Ball(radius=0.5, dim=d), n=10**5,
-                                        seed=seed + i, sampler="conditional"))
+                                        seed=offset_seed(seed, i), sampler="conditional"))
         axis_results = stats.angular_uniformity_test(acc.location_samples, alpha=alpha)
         passed = all(r.passed for r in axis_results)
         worst = min(r.p_value for r in axis_results)
@@ -242,7 +242,7 @@ def suite_rotation(alpha: float = 0.01, seed: int = 42) -> list[dict]:
             p_value=worst, n=10**5, alpha=alpha))
 
     body = Ellipsoid.from_semi_axes(center=[-1.0, 0.0], semi_axes=[0.3, 0.6])
-    acc = run_conditional(SimConfig(shape=body, n=10**5, seed=seed + 2, sampler="conditional"))
+    acc = run_conditional(SimConfig(shape=body, n=10**5, seed=offset_seed(seed, 2), sampler="conditional"))
     axis_results = stats.angular_uniformity_test(acc.location_samples, alpha=alpha)
     passed = all(r.passed for r in axis_results)
     worst = min(r.p_value for r in axis_results)
@@ -261,6 +261,7 @@ def run_suite(name: str, alpha: float = 0.01, seed: int = 42) -> list[dict]:
     """Runs one named suite (or all of them) and returns its check dicts."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
+    check_seed(seed)
     if name == "analytic":
         return suite_analytic()
     if name == "mc":

@@ -7,7 +7,6 @@ import pytest
 import scipy.stats
 
 from collide.analytic import (
-    ModelParams,
     asymptotic_prob_coefficient,
     cauchy_cdf_1d,
     collision_prob_closed,
@@ -18,6 +17,7 @@ from collide.analytic import (
     radial_cdf_conditional,
     unit_sphere_area,
 )
+from collide.geometry import Ball
 
 # the ten tabulated closed forms, d = 2..11, as (numerator, power of pi)
 COEFF_TABLE = {
@@ -27,15 +27,22 @@ COEFF_TABLE = {
 
 
 class TestModelParams:
+    """The model parameters (d, r) are checked wherever they are taken."""
+
     def test_valid(self):
-        p = ModelParams(d=3, r=0.25)
-        assert p.d == 3 and p.r == 0.25
+        assert type(collision_prob_exact(0.25, 3)) is float
+        assert type(collision_prob_closed(0.25, 3)) is float
+        assert Ball(radius=0.25, dim=3).radius == 0.25
 
     @pytest.mark.parametrize("d,r", [(0, 0.5), (-1, 0.5), (2, 0.0), (2, 1.0),
                                      (2, -0.3), (2, 1.5), (2, math.nan)])
     def test_invalid(self, d, r):
         with pytest.raises(ValueError):
-            ModelParams(d=d, r=r)
+            collision_prob_exact(r, d)
+        with pytest.raises(ValueError):
+            collision_prob_closed(r, d)
+        with pytest.raises(ValueError):
+            Ball(radius=r, dim=d)
 
 
 class TestCollisionProb:

@@ -133,6 +133,9 @@ class TestSimulate:
     def test_bad_n_exits_2(self, capsys):
         assert main(["simulate", "--d", "2", "--r", "0.5", "--n", "0"]) == 2
 
+    def test_negative_seed_exits_2(self, capsys):
+        assert main(["simulate", "--d", "2", "--r", "0.5", "--n", "100", "--seed", "-1"]) == 2
+
 
 class TestValidate:
     def test_analytic_passes(self, capsys):
@@ -146,6 +149,18 @@ class TestValidate:
                             "--alpha", "0.01", "--seed", "7")
         assert code == 0
         assert rep["results"]["all_pass"] is True
+
+    def test_largest_seed_runs(self, capsys):
+        # the suites' derived seeds wrap past 2**64 - 1 instead of failing
+        for suite, checks in (("analytic", None), ("location", 3)):
+            code, rep = run_cli(capsys, "validate", "--suite", suite, "--seed", str(2**64 - 1))
+            assert code in (0, 1)
+            assert rep["seed"] == 2**64 - 1
+            if checks is not None:
+                assert len(rep["results"]["checks"]) == checks
+
+    def test_negative_seed_exits_2(self, capsys):
+        assert main(["validate", "--suite", "analytic", "--seed", "-1"]) == 2
 
     def test_failure_exits_1(self, capsys, monkeypatch):
         real = collide.analytic.location_coefficient

@@ -7,14 +7,10 @@ import pytest
 
 from collide.geometry import (
     Ball,
-    CollisionEvent,
     Ellipsoid,
     VelocityPair,
-    collision_criterion,
-    collision_event,
     collision_time,
     com_split,
-    contact_point,
     contact_scale,
     hit_fraction_mc,
 )
@@ -53,9 +49,8 @@ class TestComSplit:
 class TestCollisionSolver:
     def test_head_on(self):
         p = pair([1.0, 0.0], [-1.0, 0.0])
-        assert collision_criterion(p, 0.5)
         assert collision_time(p, 0.5) == pytest.approx(0.5, rel=1e-15)
-        np.testing.assert_allclose(contact_point(p, 0.5), [0.0, 0.0], atol=1e-15)
+        np.testing.assert_allclose(com_split(p).v_mean * 0.5, [0.0, 0.0], atol=1e-15)
 
     def test_chase_d1(self):
         # left body moves right at speed 1, right body still: gap 1, contact at t=1
@@ -66,27 +61,29 @@ class TestCollisionSolver:
         p = pair([2.0, 0.0], [0.0, 0.0])
         t = collision_time(p, 0.5)
         assert t == pytest.approx(0.5, rel=1e-15)
-        np.testing.assert_allclose(contact_point(p, t), [0.5, 0.0], atol=1e-15)
+        np.testing.assert_allclose(com_split(p).v_mean * t, [0.5, 0.0], atol=1e-15)
 
     def test_receding_misses(self):
         assert collision_time(pair([-1.0, 0.0], [1.0, 0.0]), 0.5) is None
-        assert not collision_criterion(pair([-1.0, 0.0], [1.0, 0.0]), 0.5)
 
     def test_equal_velocities_miss(self):
-        p = pair([1.0, 2.0], [1.0, 2.0])
-        assert not collision_criterion(p, 0.9)
-        assert collision_time(p, 0.9) is None
+        assert collision_time(pair([1.0, 2.0], [1.0, 2.0]), 0.9) is None
 
     def test_tangential_motion_misses(self):
         assert collision_time(pair([0.0, 1.0], [0.0, -1.0]), 0.5) is None
 
     def test_criterion_iff_time(self):
+        # the shape protocol's hit criterion (a finite entry scale of the
+        # unit half velocity difference) holds exactly when the scalar
+        # solver finds a contact time
         g = block_rng(123, 0)
         for d in (1, 2, 3, 5):
-            v = g.standard_normal((400, 2 * d))
-            for row in v:
+            ball = Ball(radius=0.3, dim=d)
+            for row in g.standard_normal((400, 2 * d)):
                 p = VelocityPair(row[:d], row[d:])
-                assert collision_criterion(p, 0.3) == (collision_time(p, 0.3) is not None)
+                half = com_split(p).v_half_diff
+                hit = bool(np.isfinite(ball.contact_scales(half / np.linalg.norm(half)))[0])
+                assert hit == (collision_time(p, 0.3) is not None)
 
     def test_time_decreases_with_radius(self):
         p = pair([1.0, 0.1], [-1.0, -0.1])
@@ -95,27 +92,22 @@ class TestCollisionSolver:
         assert times[0] > times[1] > times[2]
 
     def test_event_consistency(self):
+        # a ball posed as an ellipsoid: its entry scale over the speed is
+        # the scalar contact time of the ball
+        ell = Ellipsoid.from_semi_axes(center=[-1.0, 0.0], semi_axes=[0.4, 0.4])
         g = block_rng(7, 0)
         hits = 0
         for row in g.standard_normal((300, 4)):
             p = VelocityPair(row[:2], row[2:])
-            ev = collision_event(p, 0.4)
-            if ev.collided:
+            split = com_split(p)
+            speed = float(np.linalg.norm(split.v_half_diff))
+            scale = contact_scale(ell, split.v_half_diff / speed)
+            t = collision_time(p, 0.4)
+            assert (scale is None) == (t is None)
+            if t is not None:
                 hits += 1
-                assert ev.t > 0.0
-                assert ev.c.shape == (2,)
-                np.testing.assert_allclose(ev.c, contact_point(p, ev.t), atol=1e-15)
-            else:
-                assert ev.t is None and ev.c is None
+                assert scale / speed == pytest.approx(t, rel=1e-12)
         assert hits > 0
-
-    def test_event_invariants(self):
-        with pytest.raises(ValueError):
-            CollisionEvent(collided=False, t=1.0)
-        with pytest.raises(ValueError):
-            CollisionEvent(collided=True, t=None, c=np.zeros(2))
-        with pytest.raises(ValueError):
-            CollisionEvent(collided=True, t=-1.0, c=np.zeros(2))
 
 
 class TestBall:
@@ -220,6 +212,48 @@ class TestEllipsoid:
         assert contact_scale(e, [1.0, 0.0]) == pytest.approx(0.7, rel=1e-13)
         assert contact_scale(e, [0.0, 1.0]) is None
         assert contact_scale(e, [-1.0, 0.0]) is None
+
+
+def _sphere_rows(seed: int, m: int, d: int) -> np.ndarray:
+    z = block_rng(seed, 0).standard_normal((m, d))
+    return z / np.linalg.norm(z, axis=1, keepdims=True)
+
+
+def _rotation(seed: int, d: int) -> np.ndarray:
+    q, r = np.linalg.qr(block_rng(seed, 0).standard_normal((d, d)))
+    return q * np.sign(np.diag(r))
+
+
+class TestBoundingCap:
+    def test_ball_cap_is_the_hit_set(self):
+        for d in (1, 2, 3, 6):
+            b = Ball(radius=0.4, dim=d)
+            axis, c = b.bounding_cap()
+            np.testing.assert_array_equal(axis, np.eye(d)[0])
+            assert c == b.cap_cosine
+        b = Ball(radius=0.4, dim=3)
+        z = _sphere_rows(1, 20_000, 3)
+        hit = np.isfinite(b.contact_scales(z))
+        assert np.array_equal(hit, z[:, 0] >= b.cap_cosine)
+
+    def test_ellipsoid_cap_holds_every_hit(self):
+        # semi-axes (0.1, 0.2, 0.3) at distance 2: cap of the radius-0.3 ball
+        rot = _rotation(2, 3)
+        center = rot @ np.array([-2.0, 0.0, 0.0])
+        e = Ellipsoid(center=center, matrix=rot @ np.diag([100.0, 25.0, 1 / 0.09]) @ rot.T)
+        axis, c = e.bounding_cap()
+        np.testing.assert_allclose(axis, -center / 2.0, rtol=0.0, atol=1e-15)
+        assert c == pytest.approx(math.sqrt(1.0 - 0.15**2), rel=1e-12)
+        z = _sphere_rows(3, 200_000, 3)
+        hit = np.isfinite(e.contact_scales(z))
+        assert hit.sum() > 100
+        assert np.all(z[hit] @ axis >= c)
+
+    def test_whole_sphere_when_the_ball_holds_the_origin(self):
+        e = Ellipsoid.from_semi_axes(center=[-1.0, 0.0], semi_axes=[0.3, 2.0])
+        axis, c = e.bounding_cap()
+        np.testing.assert_array_equal(axis, [1.0, 0.0])
+        assert c == -1.0
 
 
 class TestHitFraction:

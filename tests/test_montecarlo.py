@@ -8,21 +8,19 @@ import scipy.stats
 
 import collide.montecarlo as mc
 from collide.analytic import collision_prob_exact
-from collide.geometry import Ball, Ellipsoid
+from collide.geometry import Ball, Ellipsoid, VelocityPair, collision_time, com_split
 from collide.montecarlo import (
     Accumulator,
     SimConfig,
-    histogram,
     proportion_report,
     run,
     run_conditional,
     run_naive,
     sample_cap_direction,
     sample_relative_speed,
-    sample_velocity_pair,
     write_sample_csv,
 )
-from collide.rng import BLOCK, block_rng
+from collide.rng import BLOCK, block_rng, offset_seed
 from collide.stats import ks_test, load_sample_csv
 
 
@@ -40,29 +38,26 @@ class TestSimConfig:
     @pytest.mark.parametrize("kw", [
         dict(n=0), dict(n=-5), dict(sampler="bogus"),
         dict(sample_cap=-1), dict(shape="not a shape"), dict(workers=-1),
+        # a seed is one Philox key word: -1 must not alias 2**64 - 1
+        dict(seed=-1), dict(seed=2**64),
     ])
     def test_invalid(self, kw):
         with pytest.raises((ValueError, TypeError)):
             ball_config(**kw)
 
+    def test_largest_seed_runs(self):
+        acc = run_naive(ball_config(n=100, seed=2**64 - 1))
+        assert acc.trials == 100
+
+    def test_offset_seed_wraps(self):
+        assert offset_seed(7, 3) == 10
+        assert offset_seed(2**64 - 1, 1) == 0
+        assert offset_seed(2**64 - 2, 6) == 4
+        with pytest.raises(ValueError, match="got -1"):
+            offset_seed(-1, 1)
+
 
 class TestElementarySamplers:
-    def test_velocity_pair_forms(self):
-        g = block_rng(0, 0)
-        single = sample_velocity_pair(g, 3)
-        assert single.dim == 3
-        v1, v2 = sample_velocity_pair(block_rng(0, 0), 3, size=100)
-        assert v1.shape == (100, 3) and v2.shape == (100, 3)
-        # single draw consumes the stream the same way the batch does
-        np.testing.assert_array_equal(single.v1, v1[0])
-        np.testing.assert_array_equal(single.v2, v2[0])
-
-    def test_velocity_moments(self):
-        v1, v2 = sample_velocity_pair(block_rng(4, 0), 2, size=200_000)
-        for arr in (v1, v2):
-            assert abs(arr.mean()) < 0.01
-            assert abs(arr.var() - 1.0) < 0.01
-
     def test_relative_speed_law(self):
         # twice the squared half-difference speed is chi-square with d dof
         d = 4
@@ -112,7 +107,7 @@ class TestEngines:
         p = collision_prob_exact(0.5, 2)
         assert abs(acc.p_hat - p) <= 5.0 * math.sqrt(p * (1 - p) / cfg.n)
         assert acc.trials == cfg.n
-        assert acc.collisions == len(acc.time_samples)
+        assert acc.collisions == len(acc.sample_time)
 
     def test_naive_d1(self):
         acc = run_naive(SimConfig(shape=Ball(radius=0.4, dim=1), n=100_000, seed=8))
@@ -122,9 +117,9 @@ class TestEngines:
         cfg = ball_config(n=5_000, seed=3, sampler="conditional")
         acc = run_conditional(cfg)
         assert acc.collisions == cfg.n
-        assert len(acc.time_samples) == cfg.n
-        assert np.all(np.isfinite(acc.time_samples))
-        assert np.all(acc.time_samples > 0.0)
+        assert len(acc.sample_time) == cfg.n
+        assert np.all(np.isfinite(acc.sample_time))
+        assert np.all(acc.sample_time > 0.0)
         assert acc.location_samples.shape == (cfg.n, 2)
 
     def test_sampler_config_guard(self):
@@ -161,10 +156,89 @@ class TestEngines:
     def test_rejection_stall_raises(self, monkeypatch):
         monkeypatch.setattr(mc, "_REJECTION_PROPOSAL_LIMIT", 10_000)
         monkeypatch.setattr(mc, "_REJECTION_MIN_RATE", 1e-2)
-        thin = Ellipsoid.from_semi_axes(center=[-100.0, 0.0], semi_axes=[0.01, 0.01])
+        # a needle along the axis: its bounding cap is wide, its hit set tiny
+        needle = Ellipsoid.from_semi_axes(center=[-1.0, 0.0], semi_axes=[0.5, 1e-6])
         with pytest.raises(RuntimeError):
-            run_conditional(SimConfig(shape=thin, n=1_000, seed=0, workers=1,
+            run_conditional(SimConfig(shape=needle, n=1_000, seed=0, workers=1,
                                       sampler="conditional"))
+
+
+def _rotated(ellipsoid: Ellipsoid, seed: int) -> Ellipsoid:
+    d = ellipsoid.dim
+    q, r = np.linalg.qr(block_rng(seed, 0).standard_normal((d, d)))
+    rot = q * np.sign(np.diag(r))
+    return Ellipsoid(center=rot @ ellipsoid.center, matrix=rot @ ellipsoid.matrix @ rot.T)
+
+
+class TestShapeProtocol:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_naive_rows_match_scalar_solver(self, d):
+        # one whole block, row by row against the scalar time-of-impact
+        r, seed = 0.3, 61
+        out = mc._naive_block(ball_config(shape=Ball(radius=r, dim=d), seed=seed),
+                              (0, 0, BLOCK), True)
+        _, collided, t, c = out.rows
+        v = block_rng(seed, 0).standard_normal((BLOCK, 2 * d))
+        hits = 0
+        for j, row in enumerate(v):
+            pair = VelocityPair(row[:d], row[d:])
+            want = collision_time(pair, r)
+            assert collided[j] == (want is not None)
+            if want is not None:
+                hits += 1
+                assert t[j] == pytest.approx(want, rel=1e-12)
+                np.testing.assert_allclose(c[j], com_split(pair).v_mean * want,
+                                           rtol=1e-12, atol=0.0)
+        assert hits > 100
+
+    def test_rotated_ellipsoid_same_time_law(self):
+        # a rotation off the axis takes the Householder path; contact times
+        # keep their law because the model is rotation invariant
+        body = Ellipsoid.from_semi_axes(center=[-1.0, 0.0, 0.0], semi_axes=[0.1, 0.2, 0.3])
+        turned = _rotated(body, 3)
+        axis, _ = turned.bounding_cap()
+        assert abs(axis[0]) < 0.99
+        n = 20_000
+        a = run_conditional(SimConfig(shape=body, n=n, seed=71, sampler="conditional"))
+        b = run_conditional(SimConfig(shape=turned, n=n, seed=72, sampler="conditional"))
+        assert a.collisions == b.collisions == n
+        res = scipy.stats.ks_2samp(a.sample_time, b.sample_time)
+        assert res.pvalue >= 0.01, res.pvalue
+
+    def test_body_around_the_origin_runs(self):
+        # its bounding ball holds the origin: proposals cover the whole sphere
+        body = Ellipsoid.from_semi_axes(center=[-1.0, 0.0], semi_axes=[0.3, 2.0])
+        acc = run_conditional(SimConfig(shape=body, n=5_000, seed=4, sampler="conditional"))
+        assert acc.collisions == acc.trials == 5_000
+        assert np.all(np.isfinite(acc.sample_time) & (acc.sample_time > 0.0))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 6])
+    def test_every_ball_proposal_hits(self, d):
+        ball = Ball(radius=0.2, dim=d)
+        axis, c = ball.bounding_cap()
+        z = mc._cap_proposals(block_rng(5, 0), axis, c, 20_000)
+        assert np.all(np.isfinite(ball.contact_scales(z)))
+
+    @pytest.mark.parametrize("d", [1, 2, 6])
+    def test_ball_block_draws_one_cap_sample(self, d):
+        # a ball keeps every cap proposal, so a block draws exactly m cap
+        # directions, then the speeds, drifts and priorities
+        ball, m, seed = Ball(radius=0.3, dim=d), 500, 81
+        acc = run_conditional(SimConfig(shape=ball, n=m, seed=seed, sampler="conditional"))
+        g = block_rng(seed, 0)
+        z = np.ones((m, 1)) if d == 1 else sample_cap_direction(g, d, ball.cap_cosine, m)
+        t = ball.contact_scales(z) / sample_relative_speed(g, d, m)
+        drift = g.standard_normal((m, d)) * math.sqrt(0.5)
+        np.testing.assert_array_equal(acc.sample_time, t)
+        np.testing.assert_array_equal(acc.sample_location, drift * t[:, None])
+
+    def test_proposals_lie_on_a_turned_cap(self):
+        body = _rotated(Ellipsoid.from_semi_axes(center=[-1.0, 0.0, 0.0, 0.0],
+                                                 semi_axes=[0.2, 0.3, 0.4, 0.5]), 8)
+        axis, c = body.bounding_cap()
+        z = mc._cap_proposals(block_rng(9, 0), axis, c, 20_000)
+        np.testing.assert_allclose(np.linalg.norm(z, axis=1), 1.0, atol=1e-12)
+        assert np.all(z @ axis >= c - 1e-12)
 
 
 class TestDeterminism:
@@ -195,6 +269,15 @@ class TestDeterminism:
         monkeypatch.delenv("COLLIDE_THREADS")
         b = run_naive(ball_config(n=20_000, seed=11, workers=1))
         np.testing.assert_array_equal(a.sample_time, b.sample_time)
+
+    def test_workers_clamped_to_blocks(self, monkeypatch):
+        # checked on the resolved count; no thread is started
+        monkeypatch.delenv("COLLIDE_THREADS", raising=False)
+        assert mc._resolve_workers(10**9, 3) == 3
+        assert mc._resolve_workers(2, 3) == 2
+        assert 1 <= mc._resolve_workers(0, 3) <= 3
+        monkeypatch.setenv("COLLIDE_THREADS", str(10**9))
+        assert mc._resolve_workers(1, 3) == 3
 
     def test_env_var_validation(self, monkeypatch):
         monkeypatch.setenv("COLLIDE_THREADS", "zero")
@@ -289,31 +372,6 @@ class TestProportionReport:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             proportion_report(Accumulator.empty(2, 10), seed=0, sampler="naive")
-
-
-class TestHistogram:
-    def test_basic_binning(self):
-        h = histogram([0.0, 0.5, 1.0, 1.5, 2.0, -1.0, 5.0], lo=0.0, hi=2.0, bins=4)
-        # lower edge inclusive, upper edge spills to overflow
-        np.testing.assert_array_equal(h.counts, [1, 1, 1, 1])
-        assert h.underflow == 1
-        assert h.overflow == 2
-
-    def test_total_preserved(self):
-        g = np.random.default_rng(1)
-        x = g.standard_normal(10_000)
-        h = histogram(x, lo=-2.0, hi=2.0, bins=37)
-        assert int(h.counts.sum()) + h.underflow + h.overflow == 10_000
-
-    def test_nan_rejected(self):
-        with pytest.raises(ValueError):
-            histogram([0.1, math.nan], lo=0.0, hi=1.0, bins=2)
-
-    def test_bad_range(self):
-        with pytest.raises(ValueError):
-            histogram([0.1], lo=1.0, hi=0.0, bins=2)
-        with pytest.raises(ValueError):
-            histogram([0.1], lo=0.0, hi=1.0, bins=0)
 
 
 class TestCsvRoundtrip:

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .specfun import _float_or_array, f_cdf, log_gamma
+from .specfun import _float_or_array, _require_int, f_cdf, log_gamma
 
 __all__ = [
     "collision_prob_exact",
@@ -34,9 +34,7 @@ __all__ = [
 
 
 def _check_dim(d: int) -> int:
-    if not isinstance(d, (int, np.integer)):
-        raise ValueError(f"dimension must be an integer, got {d!r}")
-    d = int(d)
+    d = _require_int("dimension", d)
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
     return d

@@ -26,9 +26,9 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .analytic import _check_radius
+from .analytic import _check_dim, _check_radius
 from .rng import block_rng, block_spans
-from .stats import EstimateReport, binomial_ci
+from .stats import EstimateReport
 
 __all__ = [
     "VelocityPair",
@@ -127,10 +127,7 @@ class Ball:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "radius", _check_radius(float(self.radius)))
-        d = int(self.dim)
-        if d < 1:
-            raise ValueError(f"dimension must be >= 1, got {d}")
-        object.__setattr__(self, "dim", d)
+        object.__setattr__(self, "dim", _check_dim(self.dim))
 
     @property
     def cap_cosine(self) -> float:
@@ -284,16 +281,4 @@ def hit_fraction_mc(shape: ShapeOracle, n: int, seed: int,
         with np.errstate(invalid="ignore"):
             scales = shape.contact_scales(z / np.linalg.norm(z, axis=1, keepdims=True))
         hits += int(np.isfinite(scales).sum())
-    p_hat = hits / n
-    lo, hi = binomial_ci(hits, n, ci_level)
-    return EstimateReport(
-        estimate=p_hat,
-        successes=hits,
-        trials=n,
-        std_error=math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / n),
-        ci_low=lo,
-        ci_high=hi,
-        ci_level=ci_level,
-        seed=int(seed),
-        sampler="direction",
-    )
+    return EstimateReport.from_counts(hits, n, seed, "direction", ci_level)

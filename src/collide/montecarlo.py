@@ -38,7 +38,8 @@ import numpy as np
 
 from .geometry import ShapeOracle
 from .rng import block_rng, block_spans, check_seed
-from .stats import EstimateReport, binomial_ci
+from .specfun import _require_int
+from .stats import EstimateReport
 
 __all__ = [
     "SimConfig",
@@ -83,18 +84,18 @@ class SimConfig:
     def __post_init__(self) -> None:
         if not all(hasattr(self.shape, a) for a in ("dim", "contact_scales", "bounding_cap")):
             raise ValueError(f"shape must be a shape oracle, got {type(self.shape).__name__}")
-        n = int(self.n)
+        n = _require_int("trial count", self.n)
         if n < 1:
             raise ValueError(f"trial count must be >= 1, got {n}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "seed", check_seed(self.seed))
         if self.sampler not in ("naive", "conditional"):
             raise ValueError(f"sampler must be 'naive' or 'conditional', got {self.sampler!r}")
-        workers = int(self.workers)
+        workers = _require_int("workers", self.workers)
         if workers < 0:
             raise ValueError(f"workers must be >= 0, got {workers}")
         object.__setattr__(self, "workers", workers)
-        cap = int(self.sample_cap)
+        cap = _require_int("sample cap", self.sample_cap)
         if cap < 0:
             raise ValueError(f"sample cap must be >= 0, got {cap}")
         object.__setattr__(self, "sample_cap", cap)
@@ -109,15 +110,29 @@ class SimConfig:
 # ---------------------------------------------------------------------------
 
 
-def _retain(cap: int, trial: np.ndarray, priority: np.ndarray,
-            times: np.ndarray, locations: np.ndarray):
-    """Keeps the cap lowest-priority samples, canonically ordered by trial."""
-    if trial.size > cap:
-        order = np.lexsort((trial, priority))[:cap]
+def _merged(tallies: list[Accumulator]) -> Accumulator:
+    """Adds up tallies of one dim and cap; of their pooled samples it keeps
+    the cap lowest-priority ones, canonically ordered by trial."""
+    first = tallies[0]
+    trial = np.concatenate([a.sample_trial for a in tallies])
+    priority = np.concatenate([a.sample_priority for a in tallies])
+    times = np.concatenate([a.sample_time for a in tallies])
+    locations = np.concatenate([a.sample_location for a in tallies])
+    if trial.size > first.cap:
+        order = np.lexsort((trial, priority))[:first.cap]
         trial, priority = trial[order], priority[order]
         times, locations = times[order], locations[order]
     order = np.argsort(trial)
-    return trial[order], priority[order], times[order], locations[order]
+    return Accumulator(
+        dim=first.dim,
+        cap=first.cap,
+        trials=sum(a.trials for a in tallies),
+        collisions=sum(a.collisions for a in tallies),
+        sample_trial=trial[order],
+        sample_priority=priority[order],
+        sample_time=times[order],
+        sample_location=locations[order],
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,44 +180,7 @@ class Accumulator:
             raise ValueError(f"cannot merge dimensions {self.dim} and {other.dim}")
         if self.cap != other.cap:
             raise ValueError(f"cannot merge sample caps {self.cap} and {other.cap}")
-        trial = np.concatenate([self.sample_trial, other.sample_trial])
-        priority = np.concatenate([self.sample_priority, other.sample_priority])
-        times = np.concatenate([self.sample_time, other.sample_time])
-        locations = np.concatenate([self.sample_location, other.sample_location])
-        trial, priority, times, locations = _retain(self.cap, trial, priority, times, locations)
-        return Accumulator(
-            dim=self.dim,
-            cap=self.cap,
-            trials=self.trials + other.trials,
-            collisions=self.collisions + other.collisions,
-            sample_trial=trial,
-            sample_priority=priority,
-            sample_time=times,
-            sample_location=locations,
-        )
-
-
-@dataclass(frozen=True, eq=False)
-class _BlockOut:
-    trials: int
-    idx: np.ndarray
-    prio: np.ndarray
-    times: np.ndarray
-    locs: np.ndarray
-    rows: Optional[tuple]
-
-
-def _collect(dim: int, cap: int, trials: int, outs: list[_BlockOut]) -> Accumulator:
-    idx = np.concatenate([o.idx for o in outs]) if outs else np.empty(0, dtype=np.int64)
-    prio = np.concatenate([o.prio for o in outs]) if outs else np.empty(0)
-    times = np.concatenate([o.times for o in outs]) if outs else np.empty(0)
-    locs = np.concatenate([o.locs for o in outs]) if outs else np.empty((0, dim))
-    collisions = int(idx.size)
-    idx, prio, times, locs = _retain(cap, idx, prio, times, locs)
-    return Accumulator(
-        dim=dim, cap=cap, trials=trials, collisions=collisions,
-        sample_trial=idx, sample_priority=prio, sample_time=times, sample_location=locs,
-    )
+        return _merged([self, other])
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +304,7 @@ def _cap_proposals(rng: np.random.Generator, axis: np.ndarray, c: float, k: int)
     return z
 
 
-def _naive_block(config: SimConfig, span: tuple[int, int, int], want_rows: bool) -> _BlockOut:
+def _naive_block(config: SimConfig, span: tuple[int, int, int], want_rows: bool):
     block, start, m = span
     d = config.dim
     g = block_rng(config.seed, block)
@@ -343,10 +321,15 @@ def _naive_block(config: SimConfig, span: tuple[int, int, int], want_rows: bool)
     c = 0.5 * (v1 + v2) * t[:, None]
     idx = start + np.flatnonzero(collided)
     rows = (start + np.arange(m, dtype=np.int64), collided, t, c) if want_rows else None
-    return _BlockOut(m, idx.astype(np.int64), prio[collided], t[collided], c[collided], rows)
+    tally = Accumulator(
+        dim=d, cap=config.sample_cap, trials=m, collisions=int(idx.size),
+        sample_trial=idx.astype(np.int64), sample_priority=prio[collided],
+        sample_time=t[collided], sample_location=c[collided],
+    )
+    return tally, rows
 
 
-def _conditional_block(config: SimConfig, span: tuple[int, int, int], want_rows: bool) -> _BlockOut:
+def _conditional_block(config: SimConfig, span: tuple[int, int, int], want_rows: bool):
     block, start, m = span
     shape = config.shape
     d = shape.dim
@@ -382,7 +365,11 @@ def _conditional_block(config: SimConfig, span: tuple[int, int, int], want_rows:
     c = drift * t[:, None]
     idx = start + np.arange(m, dtype=np.int64)
     rows = (idx, np.ones(m, dtype=bool), t, c) if want_rows else None
-    return _BlockOut(m, idx, prio, t, c, rows)
+    tally = Accumulator(
+        dim=d, cap=config.sample_cap, trials=m, collisions=m,
+        sample_trial=idx, sample_priority=prio, sample_time=t, sample_location=c,
+    )
+    return tally, rows
 
 
 def _resolve_workers(requested: int, blocks: int) -> int:
@@ -412,9 +399,11 @@ def _drive(config: SimConfig, block_fn, dump) -> Accumulator:
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             outs = list(pool.map(lambda s: block_fn(config, s, want_rows), spans))
-    acc = _collect(config.dim, config.sample_cap, config.n, outs)
+    # a block's tally holds every collision of the block; the cap applies here,
+    # so no caller sees a tally over it
+    acc = _merged([tally for tally, _ in outs])
     if dump is not None:
-        write_sample_csv(dump, config.dim, (o.rows for o in outs))
+        write_sample_csv(dump, config.dim, (rows for _, rows in outs))
     return acc
 
 
@@ -453,21 +442,7 @@ def run(config: SimConfig, dump=None) -> Accumulator:
 def proportion_report(acc: Accumulator, seed: int, sampler: str,
                       ci_level: float = 0.9999) -> EstimateReport:
     """Collision-fraction estimate with its confidence interval."""
-    if acc.trials < 1:
-        raise ValueError("cannot report on an empty accumulator")
-    p_hat = acc.collisions / acc.trials
-    lo, hi = binomial_ci(acc.collisions, acc.trials, ci_level)
-    return EstimateReport(
-        estimate=p_hat,
-        successes=acc.collisions,
-        trials=acc.trials,
-        std_error=math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / acc.trials),
-        ci_low=lo,
-        ci_high=hi,
-        ci_level=ci_level,
-        seed=int(seed),
-        sampler=sampler,
-    )
+    return EstimateReport.from_counts(acc.collisions, acc.trials, seed, sampler, ci_level)
 
 
 # ---------------------------------------------------------------------------

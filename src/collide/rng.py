@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .specfun import _require_int
+
 __all__ = ["BLOCK", "block_rng", "block_spans", "check_seed", "offset_seed"]
 
 BLOCK = 8192
@@ -24,7 +26,7 @@ _SEED_LIMIT = 1 << 64
 
 def check_seed(seed: int) -> int:
     """Returns seed as an int; a master seed is one Philox key word, [0, 2**64)."""
-    seed = int(seed)
+    seed = _require_int("seed", seed)
     if not 0 <= seed < _SEED_LIMIT:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     return seed

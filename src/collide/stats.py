@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
@@ -75,6 +76,25 @@ class EstimateReport:
             "seed": self.seed,
             "sampler": self.sampler,
         }
+
+    @classmethod
+    def from_counts(cls, successes: int, trials: int, seed: int, sampler: str,
+                    ci_level: float) -> EstimateReport:
+        """The estimate successes/trials with its standard error and
+        ``binomial_ci`` interval."""
+        lo, hi = binomial_ci(successes, trials, ci_level)
+        p_hat = successes / trials
+        return cls(
+            estimate=p_hat,
+            successes=successes,
+            trials=trials,
+            std_error=math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / trials),
+            ci_low=lo,
+            ci_high=hi,
+            ci_level=ci_level,
+            seed=int(seed),
+            sampler=sampler,
+        )
 
 
 def _make_result(name: str, statistic: float, p_value: float, n: int, alpha: float) -> StatTestResult:
@@ -164,41 +184,6 @@ def angular_uniformity_test(points, alpha: float = 0.01) -> list[StatTestResult]
     ]
 
 
-# Rational approximation for the standard normal quantile (Acklam), then
-# one Halley step against math.erfc; worst absolute error ~1e-13.
-_NQ_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-         1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_NQ_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-         6.680131188771972e+01, -1.328068155288572e+01)
-_NQ_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-         -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_NQ_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-         3.754408661907416e+00)
-_NQ_SPLIT = 0.02425
-
-
-def _normal_quantile(p: float) -> float:
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"quantile level must lie in (0, 1), got {p}")
-    a, b, c, d = _NQ_A, _NQ_B, _NQ_C, _NQ_D
-    if p < _NQ_SPLIT:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    elif p <= 1.0 - _NQ_SPLIT:
-        q = p - 0.5
-        s = q * q
-        x = (((((a[0] * s + a[1]) * s + a[2]) * s + a[3]) * s + a[4]) * s + a[5]) * q / \
-            (((((b[0] * s + b[1]) * s + b[2]) * s + b[3]) * s + b[4]) * s + 1.0)
-    else:
-        q = math.sqrt(-2.0 * math.log1p(-p))
-        x = -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    err = 0.5 * math.erfc(-x / math.sqrt(2.0)) - p
-    u = err * math.sqrt(2.0 * math.pi) * math.exp(0.5 * x * x)
-    return x - u / (1.0 + 0.5 * x * u)
-
-
 def binomial_ci(k: int, n: int, level: float) -> tuple[float, float]:
     """Score-type confidence interval for a binomial proportion.
 
@@ -215,7 +200,7 @@ def binomial_ci(k: int, n: int, level: float) -> tuple[float, float]:
     level = float(level)
     if not 0.0 < level < 1.0:
         raise ValueError(f"confidence level must lie in (0, 1), got {level}")
-    z = _normal_quantile(0.5 + 0.5 * level)
+    z = NormalDist().inv_cdf(0.5 + 0.5 * level)
     p = k / n
     z2 = z * z
     denom = 2.0 * (n + z2)

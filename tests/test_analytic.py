@@ -35,7 +35,7 @@ class TestModelParams:
         assert Ball(radius=0.25, dim=3).radius == 0.25
 
     @pytest.mark.parametrize("d,r", [(0, 0.5), (-1, 0.5), (2, 0.0), (2, 1.0),
-                                     (2, -0.3), (2, 1.5), (2, math.nan)])
+                                     (2, -0.3), (2, 1.5), (2, math.nan), (2.5, 0.5)])
     def test_invalid(self, d, r):
         with pytest.raises(ValueError):
             collision_prob_exact(r, d)

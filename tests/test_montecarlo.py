@@ -1,5 +1,6 @@
 """Simulation engines: sampling laws, determinism, retention, serialization."""
 
+import itertools
 import math
 
 import numpy as np
@@ -20,7 +21,7 @@ from collide.montecarlo import (
     sample_relative_speed,
     write_sample_csv,
 )
-from collide.rng import BLOCK, block_rng, offset_seed
+from collide.rng import BLOCK, block_rng, block_spans, offset_seed
 from collide.stats import ks_test, load_sample_csv
 
 
@@ -40,6 +41,8 @@ class TestSimConfig:
         dict(sample_cap=-1), dict(shape="not a shape"), dict(workers=-1),
         # a seed is one Philox key word: -1 must not alias 2**64 - 1
         dict(seed=-1), dict(seed=2**64),
+        # a fraction is refused, not truncated onto seed 1's stream or 2 trials
+        dict(seed=1.5), dict(n=2.5),
     ])
     def test_invalid(self, kw):
         with pytest.raises((ValueError, TypeError)):
@@ -175,9 +178,8 @@ class TestShapeProtocol:
     def test_naive_rows_match_scalar_solver(self, d):
         # one whole block, row by row against the scalar time-of-impact
         r, seed = 0.3, 61
-        out = mc._naive_block(ball_config(shape=Ball(radius=r, dim=d), seed=seed),
-                              (0, 0, BLOCK), True)
-        _, collided, t, c = out.rows
+        _, (_, collided, t, c) = mc._naive_block(
+            ball_config(shape=Ball(radius=r, dim=d), seed=seed), (0, 0, BLOCK), True)
         v = block_rng(seed, 0).standard_normal((BLOCK, 2 * d))
         hits = 0
         for j, row in enumerate(v):
@@ -335,6 +337,22 @@ class TestRetention:
         c = run_naive(ball_config(n=1_000, seed=1, sample_cap=10))
         with pytest.raises(ValueError):
             a.merge(c)
+
+    def test_block_tallies_merge_in_any_grouping(self):
+        # the engines merge per-block tallies once; a bottom-k of bottom-k's
+        # is the bottom-k of the union, so every grouping and order of the
+        # block merges must give the run's accumulator bit for bit
+        cfg = ball_config(n=3 * BLOCK, seed=24, sample_cap=500)
+        whole = run_naive(cfg)
+        tallies = [mc._naive_block(cfg, span, False)[0] for span in block_spans(cfg.n)]
+        assert len(tallies) == 3
+        assert all(t.collisions > cfg.sample_cap for t in tallies)
+        for x, y, z in itertools.permutations(tallies):
+            for merged in (x.merge(y).merge(z), x.merge(y.merge(z))):
+                assert (merged.trials, merged.collisions) == (whole.trials, whole.collisions)
+                for field in ("sample_trial", "sample_priority", "sample_time",
+                              "sample_location"):
+                    np.testing.assert_array_equal(getattr(merged, field), getattr(whole, field))
 
     def test_cap_keeps_lowest_priorities(self):
         full = run_naive(ball_config(n=30_000, seed=21))

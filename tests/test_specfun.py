@@ -41,7 +41,8 @@ class TestLogGamma:
     @pytest.mark.parametrize("x", [1e-8, 0.1, 0.3, 0.5, 0.99, 1.5, 2.5, 3.7,
                                    10.0, 88.3, 200.0, 1e4, 1e8])
     def test_matches_libm(self, x):
-        assert log_gamma(x) == pytest.approx(math.lgamma(x), rel=1e-12, abs=1e-12)
+        # log_gamma is math.lgamma, so the oracle is scipy's gammaln
+        assert log_gamma(x) == pytest.approx(sps.gammaln(x), rel=1e-12, abs=1e-12)
 
     def test_recurrence(self):
         for x in (0.2, 0.7, 1.3, 5.5, 41.0):

@@ -219,6 +219,21 @@ class TestBinomialCi:
                         cover += comb(n, k) * p**k * (1 - p) ** (n - k)
                 assert cover >= level, (n, p, cover)
 
+    @pytest.mark.parametrize("level", [0.9, 0.95, 0.99, 0.9999])
+    @pytest.mark.parametrize("k,n", [(0, 50), (1, 7), (13, 40), (30, 100),
+                                     (500_000, 10**6), (9_990, 10_000), (50, 50)])
+    def test_matches_scipy_quantile(self, k, n, level):
+        # continuity-corrected Wilson endpoints (Newcombe 1998, method 4)
+        # with z from scipy's normal quantile
+        z = scipy.stats.norm.ppf(0.5 + 0.5 * level)
+        p, q = k / n, 1.0 - k / n
+        lo = 0.0 if k == 0 else max(0.0, (2 * n * p + z**2 - 1 - z * math.sqrt(
+            z**2 - 2 - 1 / n + 4 * p * (n * q + 1))) / (2 * (n + z**2)))
+        hi = 1.0 if k == n else min(1.0, (2 * n * p + z**2 + 1 + z * math.sqrt(
+            z**2 + 2 - 1 / n + 4 * p * (n * q - 1))) / (2 * (n + z**2)))
+        got = binomial_ci(k, n, level)
+        assert got == pytest.approx((lo, hi), rel=1e-12, abs=0.0)
+
     @pytest.mark.parametrize("k,n,level", [(-1, 10, 0.95), (11, 10, 0.95),
                                            (3, 0, 0.95), (3, 10, 1.0), (3, 10, 0.0)])
     def test_domain_errors(self, k, n, level):

@@ -28,6 +28,7 @@ import numpy as np
 
 from .analytic import _check_dim, _check_radius
 from .rng import block_rng, block_spans
+from .specfun import _require_int
 from .stats import EstimateReport
 
 __all__ = [
@@ -270,7 +271,7 @@ def hit_fraction_mc(shape: ShapeOracle, n: int, seed: int,
     formula); for other bodies it is the unconditional weight needed to
     turn conditional expectations into plain ones.
     """
-    n = int(n)
+    n = _require_int("direction count", n)
     if n < 1:
         raise ValueError(f"need at least one direction, got n={n}")
     d = shape.dim

@@ -24,14 +24,22 @@ priority from its own block's stream, and only the ``sample_cap``
 lowest-priority samples survive a merge, which keeps retention
 deterministic and merge-order independent (a bottom-k over the union is
 a bottom-k over partial bottom-k's).
+
+Memory: blocks are folded into a running bottom-k in trial order as they
+finish, with at most 2 x workers blocks in flight, and a dump's rows are
+written as their block comes up.  Peak memory is therefore
+O(sample_cap + workers x BLOCK), independent of n, with or without a
+dump.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import IO, Iterable, Optional, Union
 
 import numpy as np
@@ -156,15 +164,17 @@ class Accumulator:
 
     @classmethod
     def empty(cls, dim: int, cap: int = DEFAULT_SAMPLE_CAP) -> "Accumulator":
+        dim = _require_int("dimension", dim)
+        cap = _require_int("sample cap", cap)
         return cls(
-            dim=int(dim),
-            cap=int(cap),
+            dim=dim,
+            cap=cap,
             trials=0,
             collisions=0,
             sample_trial=np.empty(0, dtype=np.int64),
             sample_priority=np.empty(0, dtype=float),
             sample_time=np.empty(0, dtype=float),
-            sample_location=np.empty((0, int(dim)), dtype=float),
+            sample_location=np.empty((0, dim), dtype=float),
         )
 
     @property
@@ -390,21 +400,97 @@ def _resolve_workers(requested: int, blocks: int) -> int:
     return min(value, blocks)
 
 
+def _block_outputs(config: SimConfig, block_fn, spans, workers: int, want_rows: bool):
+    """Yields each block's (tally, rows) in trial order.
+
+    With several workers at most 2 x workers blocks are submitted and not
+    yet yielded; when the consumer stops early or a block raises, the
+    blocks not yet started are cancelled and the running ones awaited.
+    """
+    if workers == 1:
+        for span in spans:
+            yield block_fn(config, span, want_rows)
+        return
+    todo = iter(spans)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        pending = deque(pool.submit(block_fn, config, span, want_rows)
+                        for span in itertools.islice(todo, 2 * workers))
+        try:
+            while pending:
+                yield pending.popleft().result()
+                span = next(todo, None)
+                if span is not None:
+                    pending.append(pool.submit(block_fn, config, span, want_rows))
+        finally:
+            for future in pending:
+                future.cancel()
+
+
+class _RunningBottomK:
+    """``_merged`` over a stream of block tallies in O(cap) memory.
+
+    Once ``cap`` samples are kept, the cap-th smallest priority among them
+    bounds every later survivor: a sample above it has cap others before
+    it, so it is dropped on arrival (ties stay; ``_merged`` breaks them by
+    trial).  The pool is compacted by ``_merged`` only when it passes
+    2 x cap samples, so each sample costs amortised O(1) merge work.
+    """
+
+    def __init__(self, dim: int, cap: int) -> None:
+        self.cap = cap
+        self.trials = self.collisions = self.pooled = 0
+        self.pool = [Accumulator.empty(dim, cap)]
+        self.threshold = math.inf if cap else -math.inf
+
+    def add(self, tally: Accumulator) -> None:
+        self.trials += tally.trials
+        self.collisions += tally.collisions
+        keep = tally.sample_priority <= self.threshold
+        kept = int(np.count_nonzero(keep))
+        if kept == 0:
+            return
+        if kept < keep.size:
+            tally = replace(
+                tally, sample_trial=tally.sample_trial[keep],
+                sample_priority=tally.sample_priority[keep],
+                sample_time=tally.sample_time[keep],
+                sample_location=tally.sample_location[keep],
+            )
+        self.pool.append(tally)
+        self.pooled += kept
+        if self.pooled > 2 * self.cap:
+            self.pool = [_merged(self.pool)]
+            self.pooled = self.cap
+            self.threshold = float(self.pool[0].sample_priority.max())
+
+    def result(self) -> Accumulator:
+        return replace(_merged(self.pool), trials=self.trials, collisions=self.collisions)
+
+
 def _drive(config: SimConfig, block_fn, dump) -> Accumulator:
     spans = block_spans(config.n)
     workers = _resolve_workers(config.workers, len(spans))
-    want_rows = dump is not None
-    if workers == 1:
-        outs = [block_fn(config, s, want_rows) for s in spans]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outs = list(pool.map(lambda s: block_fn(config, s, want_rows), spans))
-    # a block's tally holds every collision of the block; the cap applies here,
-    # so no caller sees a tally over it
-    acc = _merged([tally for tally, _ in outs])
-    if dump is not None:
-        write_sample_csv(dump, config.dim, (rows for _, rows in outs))
-    return acc
+    # a block's tally holds every collision of the block; the cap applies
+    # here, so no caller sees a tally over it
+    fold = _RunningBottomK(config.dim, config.sample_cap)
+    outputs = _block_outputs(config, block_fn, spans, workers, dump is not None)
+
+    def rows():
+        for tally, block_rows in outputs:
+            fold.add(tally)
+            yield block_rows
+
+    try:
+        if dump is None:
+            for _ in rows():
+                pass
+        else:
+            # opens the file before the first block runs, then writes each
+            # block's rows as that block comes up in trial order
+            write_sample_csv(dump, config.dim, rows())
+    finally:
+        outputs.close()
+    return fold.result()
 
 
 def run_naive(config: SimConfig, dump=None) -> Accumulator:

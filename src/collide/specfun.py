@@ -181,8 +181,8 @@ def f_cdf(x, d1: int, d2: int):
     ``reg_inc_beta``; x = inf maps to 1.
     """
     x = _require_numbers("x", x)
-    d1 = int(d1)
-    d2 = int(d2)
+    d1 = _require_int("degrees of freedom", d1)
+    d2 = _require_int("degrees of freedom", d2)
     if d1 < 1 or d2 < 1:
         raise ValueError(f"degrees of freedom must be >= 1, got ({d1}, {d2})")
     negative = x < 0.0

@@ -15,7 +15,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .specfun import kolmogorov_sf, reg_inc_beta
+from .specfun import _require_int, kolmogorov_sf, reg_inc_beta
 
 __all__ = [
     "StatTestResult",
@@ -154,7 +154,7 @@ def sphere_coord_cdf(t, d: int):
     inside = (t >= -1.0) & (t <= 1.0)
     if not inside.all():
         raise ValueError(f"coordinate bound must lie in [-1, 1], got {t[~inside][0]}")
-    d = int(d)
+    d = _require_int("dimension", d)
     if d < 2:
         raise ValueError(f"sphere coordinate law needs d >= 2, got {d}")
     half = 0.5 * (d - 1)
@@ -193,8 +193,8 @@ def binomial_ci(k: int, n: int, level: float) -> tuple[float, float]:
     marginally wider for the large n used in simulation reports.  The
     interval always contains k/n.
     """
-    k = int(k)
-    n = int(n)
+    k = _require_int("successes", k)
+    n = _require_int("trials", n)
     if n < 1 or not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n with n >= 1, got k={k}, n={n}")
     level = float(level)

@@ -270,6 +270,12 @@ class TestHitFraction:
         want = 0.5 * (1.0 - b.cap_cosine)
         assert rep.ci_low <= want <= rep.ci_high
 
+    @pytest.mark.parametrize("n", [0, -3, 2.5])
+    def test_invalid_n(self, n):
+        # a fraction is refused, not truncated to 2 directions
+        with pytest.raises(ValueError):
+            hit_fraction_mc(Ball(radius=0.5, dim=2), n=n, seed=1)
+
     def test_deterministic(self):
         b = Ball(radius=0.4, dim=2)
         r1 = hit_fraction_mc(b, n=50_000, seed=9)

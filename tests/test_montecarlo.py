@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -337,6 +339,10 @@ class TestRetention:
         c = run_naive(ball_config(n=1_000, seed=1, sample_cap=10))
         with pytest.raises(ValueError):
             a.merge(c)
+        # a fractional dim or cap is refused, not truncated to 2 and 3
+        for dim, cap in ((2.7, 3), (2, 3.2)):
+            with pytest.raises(ValueError):
+                Accumulator.empty(dim, cap)
 
     def test_block_tallies_merge_in_any_grouping(self):
         # the engines merge per-block tallies once; a bottom-k of bottom-k's
@@ -372,6 +378,95 @@ class TestRetention:
         assert acc.collisions > 3_000
         assert len(acc.sample_trial) == 1
         assert acc.p_hat == acc.collisions / 20_000
+
+
+class TestStreamedDrive:
+    # mc._drive folds block tallies in trial order while blocks run; these
+    # tests hold it to one _merged over every block, a bounded number of
+    # blocks in flight, and memory that does not grow with n
+
+    @pytest.mark.parametrize("block_fn", [mc._naive_block, mc._conditional_block])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("cap", [0, 1, 1000, 10**6])
+    def test_fold_equals_one_merge(self, monkeypatch, block_fn, workers, cap):
+        monkeypatch.delenv("COLLIDE_THREADS", raising=False)
+        sampler = "naive" if block_fn is mc._naive_block else "conditional"
+        cfg = ball_config(n=10 * BLOCK + 123, seed=25, sampler=sampler,
+                          workers=workers, sample_cap=cap)
+        want = mc._merged([block_fn(cfg, span, False)[0] for span in block_spans(cfg.n)])
+        assert cap >= want.collisions or want.sample_trial.size == cap
+        got = mc._drive(cfg, block_fn, None)
+        assert (got.dim, got.cap, got.trials, got.collisions) == \
+            (want.dim, want.cap, want.trials, want.collisions)
+        for field in ("sample_trial", "sample_priority", "sample_time", "sample_location"):
+            x, y = getattr(got, field), getattr(want, field)
+            assert x.dtype == y.dtype and x.shape == y.shape
+            np.testing.assert_array_equal(x, y)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_failing_block_stops_the_run(self, monkeypatch, workers):
+        monkeypatch.delenv("COLLIDE_THREADS", raising=False)
+        started, threads = [], set()
+
+        def block_fn(config, span, want_rows):
+            started.append(span[0])
+            threads.add(threading.current_thread())
+            if span[0] == 5:
+                raise RuntimeError("block 5 failed")
+            return mc._naive_block(config, span, want_rows)
+
+        cfg = ball_config(n=40 * BLOCK, seed=26, workers=workers, sample_cap=100)
+        with pytest.raises(RuntimeError, match="block 5 failed"):
+            mc._drive(cfg, block_fn, None)
+        assert 5 in started
+        assert len(started) <= 5 + 2 * workers
+        assert not any(t.is_alive() for t in threads if t is not threading.main_thread())
+
+    def test_unwritable_dump_fails_before_any_block(self, monkeypatch):
+        calls = []
+
+        def counting(config, span, want_rows):
+            calls.append(span)
+            return mc._naive_block(config, span, want_rows)
+
+        monkeypatch.setattr(mc, "_naive_block", counting)
+        with pytest.raises(OSError):
+            run_naive(ball_config(n=4 * BLOCK), dump="/nonexistent-dir/x.csv")
+        assert calls == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("dump", [False, True])
+    def test_peak_memory_independent_of_n(self, monkeypatch, tmp_path, workers, dump):
+        # tracemalloc sees numpy's buffers; an 8x longer run must not need
+        # more than 1.5x the memory.  With a dump, the rows go to the file
+        # as raw arrays: traced, the CSV writer's per-row strings take about
+        # 10x its untraced second for these 590k rows, and its memory is one
+        # block's lines whatever n is.
+        monkeypatch.delenv("COLLIDE_THREADS", raising=False)
+
+        def raw_sink(path, dim, row_blocks):
+            with open(path, "wb") as fh:
+                for rows in row_blocks:
+                    for column in rows:
+                        column.tofile(fh)
+
+        monkeypatch.setattr(mc, "write_sample_csv", raw_sink)
+
+        def traced_peak(n):
+            cfg = ball_config(n=n, seed=27, workers=workers, sample_cap=1000)
+            tracemalloc.start()
+            try:
+                run_naive(cfg, dump=tmp_path / f"{n}.raw" if dump else None)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # with two workers a peak depends on whether both blocks' buffers
+        # coincide, which a short run may miss: each side takes its largest
+        # of three runs
+        short = max(traced_peak(8 * BLOCK) for _ in range(3))
+        long_ = max(traced_peak(64 * BLOCK) for _ in range(3))
+        assert long_ <= 1.5 * short, (short, long_)
 
 
 class TestProportionReport:

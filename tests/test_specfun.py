@@ -166,6 +166,9 @@ class TestFCdf:
             f_cdf(-1.0, 2, 2)
         with pytest.raises(ValueError):
             f_cdf(1.0, 0, 2)
+        # a fraction is refused, not truncated onto F(2, 2)
+        with pytest.raises(ValueError):
+            f_cdf(1.0, 2.5, 2)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 6, 11])
     def test_equal_dof_median_is_one(self, d):

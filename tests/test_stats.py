@@ -136,6 +136,8 @@ class TestSphereCoordCdf:
             sphere_coord_cdf(1.5, 3)
         with pytest.raises(ValueError):
             sphere_coord_cdf(0.0, 1)
+        with pytest.raises(ValueError):
+            sphere_coord_cdf(0.0, 2.5)
 
 
 class TestAngularUniformity:
@@ -235,7 +237,8 @@ class TestBinomialCi:
         assert got == pytest.approx((lo, hi), rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("k,n,level", [(-1, 10, 0.95), (11, 10, 0.95),
-                                           (3, 0, 0.95), (3, 10, 1.0), (3, 10, 0.0)])
+                                           (3, 0, 0.95), (3, 10, 1.0), (3, 10, 0.0),
+                                           (2.5, 10, 0.95), (3, 10.5, 0.95)])
     def test_domain_errors(self, k, n, level):
         with pytest.raises(ValueError):
             binomial_ci(k, n, level)

@@ -27,9 +27,11 @@ a bottom-k over partial bottom-k's).
 
 Memory: blocks are folded into a running bottom-k in trial order as they
 finish, with at most 2 x workers blocks in flight, and a dump's rows are
-written as their block comes up.  Peak memory is therefore
-O(sample_cap + workers x BLOCK), independent of n, with or without a
-dump.
+written as their block comes up.  The bottom-k holds each retained sample
+once, in a trial-ordered store compacted whenever it passes
+2 x sample_cap rows.  Peak memory is therefore the retained samples, plus
+at most 2 x sample_cap rows between compactions, plus workers x BLOCK
+trials in flight: independent of n, with or without a dump.
 """
 
 from __future__ import annotations
@@ -39,13 +41,13 @@ import math
 import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import IO, Iterable, Optional, Union
 
 import numpy as np
 
 from .geometry import ShapeOracle
-from .rng import block_rng, block_spans, check_seed
+from .rng import BLOCK, block_rng, block_spans, check_seed
 from .specfun import _require_int
 from .stats import EstimateReport
 
@@ -78,8 +80,9 @@ class SimConfig:
 
     workers = 0 means machine parallelism; any value is superseded by
     the COLLIDE_THREADS environment variable when that is set, and no
-    more threads than blocks are started.  The worker count never
-    affects results, only wall time.  The seed lies in [0, 2**64).
+    more threads than blocks, or than 8 per CPU, are started.  The worker
+    count never affects results, only wall time.  The seed lies in
+    [0, 2**64).
     """
 
     shape: ShapeOracle
@@ -325,16 +328,22 @@ def _naive_block(config: SimConfig, span: tuple[int, int, int], want_rows: bool)
     speed = np.sqrt(np.einsum("ij,ij->i", half, half))
     # a zero speed gives NaN directions, which every shape reports as a miss
     with np.errstate(invalid="ignore", divide="ignore"):
-        t = config.shape.contact_scales(half / speed[:, None]) / speed
-    collided = np.isfinite(t)
-    t = np.where(collided, t, np.nan)
-    c = 0.5 * (v1 + v2) * t[:, None]
-    idx = start + np.flatnonzero(collided)
-    rows = (start + np.arange(m, dtype=np.int64), collided, t, c) if want_rows else None
+        scale = config.shape.contact_scales(half / speed[:, None])
+    collided = np.isfinite(scale)
+    hit = np.flatnonzero(collided)
+    t = scale[hit] / speed[hit]
+    c = 0.5 * (v1[hit] + v2[hit]) * t[:, None]
+    rows = None
+    if want_rows:
+        t_rows = np.full(m, np.nan)
+        t_rows[hit] = t
+        c_rows = np.full((m, d), np.nan)
+        c_rows[hit] = c
+        rows = (start + np.arange(m, dtype=np.int64), collided, t_rows, c_rows)
     tally = Accumulator(
-        dim=d, cap=config.sample_cap, trials=m, collisions=int(idx.size),
-        sample_trial=idx.astype(np.int64), sample_priority=prio[collided],
-        sample_time=t[collided], sample_location=c[collided],
+        dim=d, cap=config.sample_cap, trials=m, collisions=int(hit.size),
+        sample_trial=start + hit.astype(np.int64), sample_priority=prio[hit],
+        sample_time=t, sample_location=c,
     )
     return tally, rows
 
@@ -384,7 +393,8 @@ def _conditional_block(config: SimConfig, span: tuple[int, int, int], want_rows:
 
 def _resolve_workers(requested: int, blocks: int) -> int:
     """Worker threads for a run of ``blocks`` blocks: COLLIDE_THREADS if
-    set, else the request, else the CPU count, never more than blocks."""
+    set, else the request, else the CPU count, never more than blocks or
+    8 per CPU."""
     env = os.environ.get("COLLIDE_THREADS")
     if env is not None:
         try:
@@ -397,7 +407,7 @@ def _resolve_workers(requested: int, blocks: int) -> int:
         value = requested
     else:
         value = os.cpu_count() or 1
-    return min(value, blocks)
+    return min(value, blocks, 8 * (os.cpu_count() or 1))
 
 
 def _block_outputs(config: SimConfig, block_fn, spans, workers: int, want_rows: bool):
@@ -427,19 +437,24 @@ def _block_outputs(config: SimConfig, block_fn, spans, workers: int, want_rows: 
 
 
 class _RunningBottomK:
-    """``_merged`` over a stream of block tallies in O(cap) memory.
+    """``_merged`` over a stream of block tallies, held in one column store.
 
-    Once ``cap`` samples are kept, the cap-th smallest priority among them
-    bounds every later survivor: a sample above it has cap others before
-    it, so it is dropped on arrival (ties stay; ``_merged`` breaks them by
-    trial).  The pool is compacted by ``_merged`` only when it passes
-    2 x cap samples, so each sample costs amortised O(1) merge work.
+    Blocks arrive in trial order, so the store (trial, priority, time and
+    location columns) stays sorted by trial as each block's rows are
+    appended.  Once ``cap`` samples are kept, the cap-th smallest priority
+    among them bounds every later survivor: a sample above it has cap
+    others before it, so it is dropped on arrival (ties stay and are broken
+    by trial, as in ``_merged``).  The store grows geometrically and is
+    compacted in place to its cap lowest (priority, trial) rows only when
+    it passes 2 x cap rows, so each sample costs amortised O(1) work and
+    the store never exceeds 2 x cap + BLOCK rows.
     """
 
     def __init__(self, dim: int, cap: int) -> None:
-        self.cap = cap
-        self.trials = self.collisions = self.pooled = 0
-        self.pool = [Accumulator.empty(dim, cap)]
+        self.dim, self.cap = dim, cap
+        self.trials = self.collisions = self.size = 0
+        self.columns = [np.empty(0, dtype=np.int64), np.empty(0), np.empty(0),
+                        np.empty((0, dim))]
         self.threshold = math.inf if cap else -math.inf
 
     def add(self, tally: Accumulator) -> None:
@@ -449,22 +464,58 @@ class _RunningBottomK:
         kept = int(np.count_nonzero(keep))
         if kept == 0:
             return
+        parts = (tally.sample_trial, tally.sample_priority, tally.sample_time,
+                 tally.sample_location)
         if kept < keep.size:
-            tally = replace(
-                tally, sample_trial=tally.sample_trial[keep],
-                sample_priority=tally.sample_priority[keep],
-                sample_time=tally.sample_time[keep],
-                sample_location=tally.sample_location[keep],
-            )
-        self.pool.append(tally)
-        self.pooled += kept
-        if self.pooled > 2 * self.cap:
-            self.pool = [_merged(self.pool)]
-            self.pooled = self.cap
-            self.threshold = float(self.pool[0].sample_priority.max())
+            parts = tuple(part[keep] for part in parts)
+        end = self.size + kept
+        capacity = self.columns[0].shape[0]
+        if end > capacity:
+            self._grow(max(end, min(2 * capacity, 2 * self.cap + BLOCK)))
+        for column, part in zip(self.columns, parts):
+            column[self.size:end] = part
+        self.size = end
+        if end > 2 * self.cap:
+            self._compact()
+
+    def _grow(self, rows: int) -> None:
+        # one column at a time, so at most one old column outlives its copy
+        for i, column in enumerate(self.columns):
+            self.columns[i] = np.empty((rows,) + column.shape[1:], dtype=column.dtype)
+            self.columns[i][:self.size] = column[:self.size]
+
+    def _compact(self) -> None:
+        # the cap lowest (priority, trial) rows: every priority below the
+        # cap-th smallest, then its ties in trial order, which is row order
+        priority = self.columns[1][:self.size]
+        cut = np.partition(priority, self.cap - 1)[self.cap - 1]
+        keep = priority < cut
+        ties = np.flatnonzero(priority == cut)
+        keep[ties[:self.cap - int(np.count_nonzero(keep))]] = True
+        rows = np.flatnonzero(keep)
+        # rows[i] >= i, so gathering forward in chunks never overwrites a
+        # row that a later chunk still reads
+        for lo in range(0, rows.size, BLOCK):
+            chunk = rows[lo:lo + BLOCK]
+            for column in self.columns:
+                column[lo:lo + chunk.size] = column[chunk]
+        self.size = self.cap
+        self.threshold = float(cut)
 
     def result(self) -> Accumulator:
-        return replace(_merged(self.pool), trials=self.trials, collisions=self.collisions)
+        if self.size > self.cap:
+            self._compact()
+        if self.columns[0].shape[0] > self.size + self.size // 4:
+            # no view of the store is alive here, so each buffer can shrink
+            # in place (realloc) instead of being copied next to itself
+            for column in self.columns:
+                column.resize((self.size,) + column.shape[1:], refcheck=False)
+        trial, priority, times, locations = (column[:self.size] for column in self.columns)
+        return Accumulator(
+            dim=self.dim, cap=self.cap, trials=self.trials,
+            collisions=self.collisions, sample_trial=trial, sample_priority=priority,
+            sample_time=times, sample_location=locations,
+        )
 
 
 def _drive(config: SimConfig, block_fn, dump) -> Accumulator:
@@ -536,10 +587,6 @@ def proportion_report(acc: Accumulator, seed: int, sampler: str,
 # ---------------------------------------------------------------------------
 
 
-def _fmt(value: float) -> str:
-    return format(value, ".17g")
-
-
 def write_sample_csv(path_or_file: Union[str, os.PathLike, IO[str]], dim: int,
                      row_blocks: Iterable[Optional[tuple]]) -> None:
     """Writes trial rows as CSV: trial,collided,t,c_1,...,c_d.
@@ -553,18 +600,18 @@ def write_sample_csv(path_or_file: Union[str, os.PathLike, IO[str]], dim: int,
     try:
         header = ["trial", "collided", "t"] + [f"c_{i + 1}" for i in range(dim)]
         fh.write(",".join(header) + "\n")
+        # %.17g round-trips every double; a miss leaves t and c empty
+        hit_row = "%d,true," + ",".join(["%.17g"] * (dim + 1))
+        miss_tail = ",false," + "," * dim
         for block in row_blocks:
             if block is None:
                 continue
             idx, collided, t, c = block
-            lines = []
-            for j in range(len(idx)):
-                if collided[j]:
-                    fields = [str(int(idx[j])), "true", _fmt(t[j])]
-                    fields += [_fmt(c[j, k]) for k in range(dim)]
-                else:
-                    fields = [str(int(idx[j])), "false", ""] + [""] * dim
-                lines.append(",".join(fields))
+            lines = [
+                hit_row % (j, tj, *cj) if hit else f"{j}{miss_tail}"
+                for j, hit, tj, cj in zip(idx.tolist(), collided.tolist(), t.tolist(),
+                                          c.tolist())
+            ]
             if lines:
                 fh.write("\n".join(lines) + "\n")
     finally:

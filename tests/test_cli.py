@@ -1,6 +1,7 @@
 """Command-line surface: JSON envelopes, CSV outputs, exit codes."""
 
 import csv
+import hashlib
 import json
 import math
 
@@ -136,6 +137,33 @@ class TestSimulate:
     def test_negative_seed_exits_2(self, capsys):
         assert main(["simulate", "--d", "2", "--r", "0.5", "--n", "100", "--seed", "-1"]) == 2
 
+
+
+# SHA-256 of `simulate --r 0.3 --n 20000 --seed 7 --out F` by (sampler, d);
+# any worker count must reproduce them byte for byte
+GOLDEN_SIMULATE_CSV = {
+    ("conditional", 1): "fb763e84d0f6a9fdff0a9ffb27ae3954430b1964537eec4640389759bd858b5e",
+    ("conditional", 2): "cdc90cc606706aa69fbcba498da5609ee36714a2b586f4d125f2feb9316fc9b5",
+    ("conditional", 3): "4ccbeeb1970b27d6277286949ef733d3a0d7359980bd2ada0568ee9ca90181b8",
+    ("conditional", 6): "87c888c425cd1d67e6634126463d0a016d228ffba4693b3d8986d3025c8105c9",
+    ("naive", 1): "b6373476cec699b3152ed27917fb3c05f199a3bf00420584fd4589322b7acde6",
+    ("naive", 2): "5e8e6f3a639b5e72f7218dc07be30d3f52cfc53dbe3ab19bfc4c2576b6f4b9bd",
+    ("naive", 3): "875c370c1097fc20c755531aa8f64b3fe7ad355935601fe97319aac693f8d4de",
+    ("naive", 6): "6df44a8004564d8fac94a45233449140bf178e2f2e5c6b4b2bf458ace5e69c84",
+}
+
+
+class TestGoldenOutput:
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("sampler, d", sorted(GOLDEN_SIMULATE_CSV))
+    def test_simulate_csv_digest(self, tmp_path, capsys, monkeypatch, sampler, d, workers):
+        monkeypatch.delenv("COLLIDE_THREADS", raising=False)
+        out = tmp_path / "samples.csv"
+        assert main(["simulate", "--sampler", sampler, "--d", str(d), "--r", "0.3",
+                     "--n", "20000", "--seed", "7", "--workers", workers,
+                     "--out", str(out)]) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == GOLDEN_SIMULATE_CSV[sampler, d]
 
 class TestValidate:
     def test_analytic_passes(self, capsys):

@@ -2,6 +2,11 @@
 
 import itertools
 import math
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
 import threading
 import tracemalloc
 
@@ -283,6 +288,21 @@ class TestDeterminism:
         monkeypatch.setenv("COLLIDE_THREADS", str(10**9))
         assert mc._resolve_workers(1, 3) == 3
 
+    def test_workers_clamped_per_cpu(self, monkeypatch):
+        # checked on the resolved count; no thread is started
+        monkeypatch.delenv("COLLIDE_THREADS", raising=False)
+        monkeypatch.setattr(mc.os, "cpu_count", lambda: 1)
+        assert mc._resolve_workers(100_000, 10**6) == 8
+        assert mc._resolve_workers(8, 10**6) == 8
+        assert mc._resolve_workers(3, 10**6) == 3
+        monkeypatch.setattr(mc.os, "cpu_count", lambda: None)
+        assert mc._resolve_workers(100_000, 10**6) == 8
+        monkeypatch.setattr(mc.os, "cpu_count", lambda: 4)
+        assert mc._resolve_workers(100_000, 10**6) == 32
+        assert mc._resolve_workers(100_000, 5) == 5
+        monkeypatch.setenv("COLLIDE_THREADS", "100000")
+        assert mc._resolve_workers(1, 10**6) == 32
+
     def test_env_var_validation(self, monkeypatch):
         monkeypatch.setenv("COLLIDE_THREADS", "zero")
         with pytest.raises(ValueError):
@@ -467,6 +487,125 @@ class TestStreamedDrive:
         short = max(traced_peak(8 * BLOCK) for _ in range(3))
         long_ = max(traced_peak(64 * BLOCK) for _ in range(3))
         assert long_ <= 1.5 * short, (short, long_)
+
+
+class TestSampleStore:
+    # mc._RunningBottomK holds the retained rows once, in trial order, and
+    # compacts them in place; these tests hold it to _merged over many
+    # compactions and to memory in proportion to the rows it retains
+
+    @staticmethod
+    def _assert_fold_equals_merge(cfg, block_fn):
+        want = mc._merged([block_fn(cfg, span, False)[0] for span in block_spans(cfg.n)])
+        got = mc._drive(cfg, block_fn, None)
+        assert (got.dim, got.cap, got.trials, got.collisions) == \
+            (want.dim, want.cap, want.trials, want.collisions)
+        for field in ("sample_trial", "sample_priority", "sample_time", "sample_location"):
+            x, y = getattr(got, field), getattr(want, field)
+            assert x.dtype == y.dtype and x.shape == y.shape
+            np.testing.assert_array_equal(x, y)
+            # the result holds little more memory than its own rows
+            owner = x if x.base is None else x.base
+            assert owner.nbytes <= 1.25 * x.nbytes
+
+    @pytest.mark.parametrize("block_fn", [mc._naive_block, mc._conditional_block])
+    @pytest.mark.parametrize("cap_offset", [-1, 0, 1])
+    def test_repeated_compaction_at_block_collision_count(self, monkeypatch, block_fn,
+                                                          cap_offset):
+        # a cap right at one block's collision count, with n far above 2 x cap
+        monkeypatch.delenv("COLLIDE_THREADS", raising=False)
+        sampler = "naive" if block_fn is mc._naive_block else "conditional"
+        probe = ball_config(n=BLOCK, seed=28, sampler=sampler)
+        per_block = block_fn(probe, block_spans(BLOCK)[0], False)[0].collisions
+        cfg = ball_config(n=40 * BLOCK + 77, seed=28, sampler=sampler, workers=1,
+                          sample_cap=per_block + cap_offset)
+        compactions = []
+        compact = mc._RunningBottomK._compact
+
+        def counting(fold):
+            compactions.append(fold.size)
+            compact(fold)
+
+        monkeypatch.setattr(mc._RunningBottomK, "_compact", counting)
+        self._assert_fold_equals_merge(cfg, block_fn)
+        assert len(compactions) >= 2
+
+    @pytest.mark.parametrize("cap", [1, 2, 7, 100])
+    def test_small_caps_compact_many_times(self, monkeypatch, cap):
+        monkeypatch.delenv("COLLIDE_THREADS", raising=False)
+        cfg = ball_config(n=40 * BLOCK + 77, seed=29, workers=2, sample_cap=cap)
+        self._assert_fold_equals_merge(cfg, mc._naive_block)
+
+    @pytest.mark.parametrize("cap", [1, 7, 50, 300])
+    def test_tied_priorities_break_by_trial(self, cap):
+        # engine priorities almost never tie, so feed the fold block tallies
+        # whose priorities take five values, in trial order
+        rng = np.random.default_rng(cap)
+        tallies = []
+        for block, size in enumerate([0, 30, 200, 1, 77, 500, 3, 120]):
+            trial = block * 1000 + np.sort(rng.choice(1000, size, replace=False))
+            tallies.append(Accumulator(
+                dim=2, cap=cap, trials=1000, collisions=size,
+                sample_trial=trial.astype(np.int64),
+                sample_priority=rng.integers(0, 5, size) / 4.0,
+                sample_time=rng.random(size), sample_location=rng.random((size, 2))))
+        fold = mc._RunningBottomK(2, cap)
+        for tally in tallies:
+            fold.add(tally)
+        got, want = fold.result(), mc._merged(tallies)
+        assert (got.trials, got.collisions) == (want.trials, want.collisions)
+        for field in ("sample_trial", "sample_priority", "sample_time", "sample_location"):
+            np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+
+    def test_no_reservation_by_cap(self):
+        # the store grows with the rows that arrive, not with the cap
+        cfg = ball_config(n=3 * BLOCK, seed=30, workers=1, sample_cap=10**12)
+        tracemalloc.start()
+        try:
+            acc = run_naive(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert acc.sample_trial.size == acc.collisions
+        assert peak < 32 * 2**20, peak
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                        reason="needs the process's own high-water RSS (VmHWM)")
+    def test_fresh_process_peak_within_twice_the_retained_rows(self):
+        # peak RSS growth of a default-cap d = 6 run over its post-import,
+        # post-warm-up baseline; every trial collides, so 10^6 rows of
+        # 72 bytes are retained.  The peak is VmHWM, not ru_maxrss: a child
+        # inherits its parent's ru_maxrss across exec, so a child of a large
+        # test process would read no growth at all.
+        script = textwrap.dedent("""
+            from collide.geometry import Ball
+            from collide.montecarlo import SimConfig, run_conditional
+
+            def config(n):
+                return SimConfig(shape=Ball(0.1, 6), n=n, seed=31,
+                                 sampler="conditional", workers=1)
+
+            def peak_rss():
+                with open("/proc/self/status") as fh:
+                    line = next(l for l in fh if l.startswith("VmHWM:"))
+                return int(line.split()[1]) * 1024
+
+            run_conditional(config(20_000))
+            base = peak_rss()
+            acc = run_conditional(config(10**6))
+            kept = sum(a.nbytes for a in (acc.sample_trial, acc.sample_priority,
+                                          acc.sample_time, acc.sample_location))
+            print(peak_rss() - base, kept)
+        """)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(pathlib.Path(mc.__file__).parents[1])] +
+            [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        env.pop("COLLIDE_THREADS", None)
+        done = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                              capture_output=True, text=True)
+        growth, kept = map(int, done.stdout.split())
+        assert kept == 10**6 * 72
+        assert growth <= 2 * kept, (growth, kept)
 
 
 class TestProportionReport:

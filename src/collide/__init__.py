@@ -31,20 +31,13 @@ from .montecarlo import (
     run,
     run_conditional,
     run_naive,
-    sample_cap_direction,
-    sample_relative_speed,
-    write_sample_csv,
 )
-from .specfun import f_cdf, kolmogorov_sf, log_gamma, reg_inc_beta
+from .specfun import f_cdf, log_gamma, reg_inc_beta
 from .stats import (
     EstimateReport,
-    SampleDump,
-    StatTestResult,
     angular_uniformity_test,
-    binomial_ci,
     ks_test,
     load_sample_csv,
-    sphere_coord_cdf,
 )
 
 __all__ = [
@@ -71,20 +64,12 @@ __all__ = [
     "run",
     "run_naive",
     "run_conditional",
-    "sample_cap_direction",
-    "sample_relative_speed",
     "proportion_report",
-    "write_sample_csv",
     "log_gamma",
     "reg_inc_beta",
     "f_cdf",
-    "kolmogorov_sf",
-    "StatTestResult",
     "EstimateReport",
-    "SampleDump",
     "ks_test",
-    "sphere_coord_cdf",
     "angular_uniformity_test",
-    "binomial_ci",
     "load_sample_csv",
 ]

@@ -46,6 +46,7 @@ from typing import IO, Iterable, Optional, Union
 
 import numpy as np
 
+from .analytic import _check_dim
 from .geometry import ShapeOracle
 from .rng import BLOCK, block_rng, block_spans, check_seed
 from .specfun import _require_int
@@ -201,21 +202,17 @@ class Accumulator:
 # ---------------------------------------------------------------------------
 
 
-def sample_relative_speed(rng: np.random.Generator, d: int, size: Optional[int] = None):
+def sample_relative_speed(rng: np.random.Generator, d: int, size: int) -> np.ndarray:
     """Norm of the half velocity difference: sqrt(S/2) with S chi-square(d).
 
     Sampled exactly as the norm of d independent centered normals with
     variance 1/2.
     """
-    d = int(d)
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
-    m = 1 if size is None else int(size)
+    d = _check_dim(d)
+    m = _require_int("size", size)
     if m < 1:
         raise ValueError(f"size must be >= 1, got {size}")
-    draws = rng.standard_normal((m, d)) * _SQRT_HALF
-    norms = np.linalg.norm(draws, axis=1)
-    return float(norms[0]) if size is None else norms
+    return np.linalg.norm(rng.standard_normal((m, d)) * _SQRT_HALF, axis=1)
 
 
 def _unit_rows(rng: np.random.Generator, m: int, k: int) -> np.ndarray:
@@ -253,8 +250,7 @@ def _cap_first_coordinate(rng: np.random.Generator, d: int, c: float, m: int) ->
     return out
 
 
-def sample_cap_direction(rng: np.random.Generator, d: int, c: float,
-                         size: Optional[int] = None):
+def sample_cap_direction(rng: np.random.Generator, d: int, c: float, size: int) -> np.ndarray:
     """Uniform direction on the spherical cap {z on S^(d-1) : z_1 >= c}.
 
     d = 2 draws the polar angle uniformly on [-arccos c, arccos c];
@@ -262,13 +258,13 @@ def sample_cap_direction(rng: np.random.Generator, d: int, c: float,
     d >= 4 rejection-samples the first coordinate and attaches an
     independent uniform direction for the remaining components.
     """
-    d = int(d)
+    d = _require_int("dimension", d)
     if d < 2:
         raise ValueError(f"cap sampling needs d >= 2, got {d}")
     c = float(c)
     if math.isnan(c) or not 0.0 < c < 1.0:
         raise ValueError(f"cap cosine must lie in (0, 1), got {c}")
-    m = 1 if size is None else int(size)
+    m = _require_int("size", size)
     if m < 1:
         raise ValueError(f"size must be >= 1, got {size}")
     if d == 2:
@@ -287,7 +283,7 @@ def sample_cap_direction(rng: np.random.Generator, d: int, c: float,
         w = _unit_rows(rng, m, d - 1)
         s = np.sqrt(np.maximum(1.0 - z1 * z1, 0.0))
         z = np.column_stack([z1, s[:, None] * w])
-    return z[0] if size is None else z
+    return z
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 import pytest
 
 import collide.analytic
-from collide.validation import SUITES, run_suite, suite_analytic
+import collide.validation
+from collide.validation import SUITES, _solver_agreement_check, run_suite, suite_analytic
 
 
 def names(checks):
@@ -19,13 +20,18 @@ class TestSuiteStructure:
             run_suite("bogus")
 
     def test_all_concatenates(self):
-        # "all" runs every suite; membership check is cheap enough via analytic
-        checks = run_suite("analytic")
-        assert names(checks) == [
+        # "all" runs every suite, in the order analytic, mc, location, rotation
+        assert names(run_suite("all")) == [
             "closed_form_agreement",
             "location_coefficient_table",
             "asymptotic_power_law",
             "conditional_density_normalization",
+            "naive_prob_d2", "naive_prob_d3", "naive_prob_d1",
+            "solver_decomposition_agreement_d2", "solver_decomposition_agreement_d3",
+            "estimator_consistency", "worker_count_determinism",
+            "line_contact_cauchy", "radial_f_law_d2", "radial_f_law_d3",
+            "rotation_invariance_ball_d2", "rotation_invariance_ball_d3",
+            "rotation_invariance_ellipsoid",
         ]
 
     def test_check_shape(self):
@@ -77,3 +83,25 @@ class TestMutationSanity:
         checks = suite_analytic()
         agreement = next(c for c in checks if c["name"] == "closed_form_agreement")
         assert not agreement["pass"]
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_skewed_collision_time_detected(self, monkeypatch, d):
+        assert _solver_agreement_check(d, 0.3, 200, 3)["pass"]
+        real = collide.validation.collision_time
+        monkeypatch.setattr(collide.validation, "collision_time",
+                            lambda pair, r: real(pair, r) * (1.0 + 1e-8))
+        assert not _solver_agreement_check(d, 0.3, 200, 3)["pass"]
+
+    def test_oracle_miss_on_one_row_fails(self, monkeypatch):
+        real = collide.validation.collision_time
+        calls = []
+
+        def misses_once(pair, r):
+            calls.append(pair)
+            return None if len(calls) == 57 else real(pair, r)
+
+        monkeypatch.setattr(collide.validation, "collision_time", misses_once)
+        check = _solver_agreement_check(2, 0.3, 200, 3)
+        assert len(calls) == 200
+        assert not check["pass"]
+        assert "nan" in check["detail"]

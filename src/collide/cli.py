@@ -174,13 +174,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=0,
                    help="worker threads; 0 = machine parallelism; COLLIDE_THREADS overrides")
     p.add_argument("--cap", type=int, default=DEFAULT_SAMPLE_CAP,
-                   help="retained-sample cap (default 10^6)")
+                   help="keep the first CAP collisions in trial order as samples "
+                        "(default 10^6)")
     p.add_argument("--out", default=None, help="write per-trial sample CSV here")
     p.set_defaults(fn=_cmd_simulate)
 
     p = sub.add_parser("validate", help="run the validation suites")
     p.add_argument("--suite", choices=validation.SUITES, default="all")
-    p.add_argument("--alpha", type=float, default=0.01, help="significance level")
+    p.add_argument("--alpha", type=float, default=0.01, help="significance level in (0, 1)")
     p.add_argument("--seed", type=int, default=42, help="master seed for the statistical checks")
     p.set_defaults(fn=_cmd_validate)
 

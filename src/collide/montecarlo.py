@@ -19,19 +19,20 @@ Reproducibility: trials are processed in fixed blocks of ``rng.BLOCK``;
 block i draws from a Philox stream keyed by (seed, i).  The result is a
 pure function of (seed, n, sampler, shape) - the number of worker
 threads only changes how blocks are scheduled, never a single output
-bit.  Retained samples are capped: every collision gets a uniform
-priority from its own block's stream, and only the ``sample_cap``
-lowest-priority samples survive a merge, which keeps retention
-deterministic and merge-order independent (a bottom-k over the union is
-a bottom-k over partial bottom-k's).
+bit.  Retained samples are capped: a run keeps its first ``sample_cap``
+collisions in trial order.  Which trials are kept depends only on the
+collision indicators, never on the times or locations, and trials are
+i.i.d., so the kept (time, location) rows are an i.i.d. sample of the
+law given a collision, whatever the worker count.
 
-Memory: blocks are folded into a running bottom-k in trial order as they
+Memory: blocks are folded into the sample store in trial order as they
 finish, with at most 2 x workers blocks in flight, and a dump's rows are
-written as their block comes up.  The bottom-k holds each retained sample
-once, in a trial-ordered store compacted whenever it passes
-2 x sample_cap rows.  Peak memory is therefore the retained samples, plus
-at most 2 x sample_cap rows between compactions, plus workers x BLOCK
-trials in flight: independent of n, with or without a dump.
+written as their block comes up.  The store holds each retained sample
+once and grows with the rows that arrive, never past sample_cap rows.
+Peak memory is therefore at most sample_cap retained rows plus the
+blocks in flight (workers x BLOCK trials computing, and at most as many
+finished ones waiting their turn): independent of n, with or without a
+dump.
 """
 
 from __future__ import annotations
@@ -122,39 +123,12 @@ class SimConfig:
 # ---------------------------------------------------------------------------
 
 
-def _merged(tallies: list[Accumulator]) -> Accumulator:
-    """Adds up tallies of one dim and cap; of their pooled samples it keeps
-    the cap lowest-priority ones, canonically ordered by trial."""
-    first = tallies[0]
-    trial = np.concatenate([a.sample_trial for a in tallies])
-    priority = np.concatenate([a.sample_priority for a in tallies])
-    times = np.concatenate([a.sample_time for a in tallies])
-    locations = np.concatenate([a.sample_location for a in tallies])
-    if trial.size > first.cap:
-        order = np.lexsort((trial, priority))[:first.cap]
-        trial, priority = trial[order], priority[order]
-        times, locations = times[order], locations[order]
-    order = np.argsort(trial)
-    return Accumulator(
-        dim=first.dim,
-        cap=first.cap,
-        trials=sum(a.trials for a in tallies),
-        collisions=sum(a.collisions for a in tallies),
-        sample_trial=trial[order],
-        sample_priority=priority[order],
-        sample_time=times[order],
-        sample_location=locations[order],
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class Accumulator:
-    """Mergeable tally of a simulation run.
+    """Tally of a simulation run.
 
-    Counts are exact; the time/location samples are the retained subset
-    described in the module docstring, always sorted by trial index.
-    Merging is associative and commutative, and merging disjoint runs
-    of the same configuration reproduces the single-run state exactly.
+    Counts are exact; the time/location samples are the run's first
+    ``cap`` collisions, sorted by trial index (see the module docstring).
     """
 
     dim: int
@@ -162,24 +136,8 @@ class Accumulator:
     trials: int
     collisions: int
     sample_trial: np.ndarray
-    sample_priority: np.ndarray
     sample_time: np.ndarray
     sample_location: np.ndarray
-
-    @classmethod
-    def empty(cls, dim: int, cap: int = DEFAULT_SAMPLE_CAP) -> "Accumulator":
-        dim = _require_int("dimension", dim)
-        cap = _require_int("sample cap", cap)
-        return cls(
-            dim=dim,
-            cap=cap,
-            trials=0,
-            collisions=0,
-            sample_trial=np.empty(0, dtype=np.int64),
-            sample_priority=np.empty(0, dtype=float),
-            sample_time=np.empty(0, dtype=float),
-            sample_location=np.empty((0, dim), dtype=float),
-        )
 
     @property
     def location_samples(self) -> np.ndarray:
@@ -188,13 +146,6 @@ class Accumulator:
     @property
     def p_hat(self) -> float:
         return self.collisions / self.trials if self.trials else math.nan
-
-    def merge(self, other: "Accumulator") -> "Accumulator":
-        if self.dim != other.dim:
-            raise ValueError(f"cannot merge dimensions {self.dim} and {other.dim}")
-        if self.cap != other.cap:
-            raise ValueError(f"cannot merge sample caps {self.cap} and {other.cap}")
-        return _merged([self, other])
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +269,6 @@ def _naive_block(config: SimConfig, span: tuple[int, int, int], want_rows: bool)
     d = config.dim
     g = block_rng(config.seed, block)
     v = g.standard_normal((m, 2 * d))
-    prio = g.random(m)
     v1, v2 = v[:, :d], v[:, d:]
     half = 0.5 * (v1 - v2)
     speed = np.sqrt(np.einsum("ij,ij->i", half, half))
@@ -338,8 +288,7 @@ def _naive_block(config: SimConfig, span: tuple[int, int, int], want_rows: bool)
         rows = (start + np.arange(m, dtype=np.int64), collided, t_rows, c_rows)
     tally = Accumulator(
         dim=d, cap=config.sample_cap, trials=m, collisions=int(hit.size),
-        sample_trial=start + hit.astype(np.int64), sample_priority=prio[hit],
-        sample_time=t, sample_location=c,
+        sample_trial=start + hit.astype(np.int64), sample_time=t, sample_location=c,
     )
     return tally, rows
 
@@ -375,14 +324,13 @@ def _conditional_block(config: SimConfig, span: tuple[int, int, int], want_rows:
             )
     speed = sample_relative_speed(g, d, m)
     drift = g.standard_normal((m, d)) * _SQRT_HALF
-    prio = g.random(m)
     t = scale / speed
     c = drift * t[:, None]
     idx = start + np.arange(m, dtype=np.int64)
     rows = (idx, np.ones(m, dtype=bool), t, c) if want_rows else None
     tally = Accumulator(
         dim=d, cap=config.sample_cap, trials=m, collisions=m,
-        sample_trial=idx, sample_priority=prio, sample_time=t, sample_location=c,
+        sample_trial=idx, sample_time=t, sample_location=c,
     )
     return tally, rows
 
@@ -432,47 +380,35 @@ def _block_outputs(config: SimConfig, block_fn, spans, workers: int, want_rows: 
                 future.cancel()
 
 
-class _RunningBottomK:
-    """``_merged`` over a stream of block tallies, held in one column store.
+class _SampleStore:
+    """The first ``cap`` collisions of a stream of block tallies, in one column store.
 
-    Blocks arrive in trial order, so the store (trial, priority, time and
-    location columns) stays sorted by trial as each block's rows are
-    appended.  Once ``cap`` samples are kept, the cap-th smallest priority
-    among them bounds every later survivor: a sample above it has cap
-    others before it, so it is dropped on arrival (ties stay and are broken
-    by trial, as in ``_merged``).  The store grows geometrically and is
-    compacted in place to its cap lowest (priority, trial) rows only when
-    it passes 2 x cap rows, so each sample costs amortised O(1) work and
-    the store never exceeds 2 x cap + BLOCK rows.
+    Blocks arrive in trial order, so appending each block's rows keeps the
+    store (trial, time and location columns) sorted by trial; once it holds
+    ``cap`` rows, later blocks only add to the counts.  The store grows
+    geometrically with the rows that arrive, never past ``cap`` rows, so
+    each sample costs amortised O(1) work and no memory is reserved by cap.
     """
 
     def __init__(self, dim: int, cap: int) -> None:
         self.dim, self.cap = dim, cap
         self.trials = self.collisions = self.size = 0
-        self.columns = [np.empty(0, dtype=np.int64), np.empty(0), np.empty(0),
-                        np.empty((0, dim))]
-        self.threshold = math.inf if cap else -math.inf
+        self.columns = [np.empty(0, dtype=np.int64), np.empty(0), np.empty((0, dim))]
 
     def add(self, tally: Accumulator) -> None:
         self.trials += tally.trials
         self.collisions += tally.collisions
-        keep = tally.sample_priority <= self.threshold
-        kept = int(np.count_nonzero(keep))
-        if kept == 0:
+        take = min(self.cap - self.size, tally.sample_trial.size)
+        if take == 0:
             return
-        parts = (tally.sample_trial, tally.sample_priority, tally.sample_time,
-                 tally.sample_location)
-        if kept < keep.size:
-            parts = tuple(part[keep] for part in parts)
-        end = self.size + kept
+        end = self.size + take
         capacity = self.columns[0].shape[0]
         if end > capacity:
-            self._grow(max(end, min(2 * capacity, 2 * self.cap + BLOCK)))
+            self._grow(max(end, min(2 * capacity, self.cap)))
+        parts = (tally.sample_trial, tally.sample_time, tally.sample_location)
         for column, part in zip(self.columns, parts):
-            column[self.size:end] = part
+            column[self.size:end] = part[:take]
         self.size = end
-        if end > 2 * self.cap:
-            self._compact()
 
     def _grow(self, rows: int) -> None:
         # one column at a time, so at most one old column outlives its copy
@@ -480,51 +416,30 @@ class _RunningBottomK:
             self.columns[i] = np.empty((rows,) + column.shape[1:], dtype=column.dtype)
             self.columns[i][:self.size] = column[:self.size]
 
-    def _compact(self) -> None:
-        # the cap lowest (priority, trial) rows: every priority below the
-        # cap-th smallest, then its ties in trial order, which is row order
-        priority = self.columns[1][:self.size]
-        cut = np.partition(priority, self.cap - 1)[self.cap - 1]
-        keep = priority < cut
-        ties = np.flatnonzero(priority == cut)
-        keep[ties[:self.cap - int(np.count_nonzero(keep))]] = True
-        rows = np.flatnonzero(keep)
-        # rows[i] >= i, so gathering forward in chunks never overwrites a
-        # row that a later chunk still reads
-        for lo in range(0, rows.size, BLOCK):
-            chunk = rows[lo:lo + BLOCK]
-            for column in self.columns:
-                column[lo:lo + chunk.size] = column[chunk]
-        self.size = self.cap
-        self.threshold = float(cut)
-
     def result(self) -> Accumulator:
-        if self.size > self.cap:
-            self._compact()
         if self.columns[0].shape[0] > self.size + self.size // 4:
             # no view of the store is alive here, so each buffer can shrink
             # in place (realloc) instead of being copied next to itself
             for column in self.columns:
                 column.resize((self.size,) + column.shape[1:], refcheck=False)
-        trial, priority, times, locations = (column[:self.size] for column in self.columns)
+        trial, times, locations = (column[:self.size] for column in self.columns)
         return Accumulator(
-            dim=self.dim, cap=self.cap, trials=self.trials,
-            collisions=self.collisions, sample_trial=trial, sample_priority=priority,
-            sample_time=times, sample_location=locations,
+            dim=self.dim, cap=self.cap, trials=self.trials, collisions=self.collisions,
+            sample_trial=trial, sample_time=times, sample_location=locations,
         )
 
 
 def _drive(config: SimConfig, block_fn, dump) -> Accumulator:
-    spans = block_spans(config.n)
-    workers = _resolve_workers(config.workers, len(spans))
+    workers = _resolve_workers(config.workers, -(-config.n // BLOCK))
     # a block's tally holds every collision of the block; the cap applies
     # here, so no caller sees a tally over it
-    fold = _RunningBottomK(config.dim, config.sample_cap)
-    outputs = _block_outputs(config, block_fn, spans, workers, dump is not None)
+    store = _SampleStore(config.dim, config.sample_cap)
+    outputs = _block_outputs(config, block_fn, block_spans(config.n), workers,
+                             dump is not None)
 
     def rows():
         for tally, block_rows in outputs:
-            fold.add(tally)
+            store.add(tally)
             yield block_rows
 
     try:
@@ -537,7 +452,7 @@ def _drive(config: SimConfig, block_fn, dump) -> Accumulator:
             write_sample_csv(dump, config.dim, rows())
     finally:
         outputs.close()
-    return fold.result()
+    return store.result()
 
 
 def run_naive(config: SimConfig, dump=None) -> Accumulator:

@@ -13,6 +13,8 @@ given trial reads, i.e. produces a different (still valid) realization.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
 
 from .specfun import _require_int
@@ -45,16 +47,9 @@ def block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def block_spans(n: int) -> list[tuple[int, int, int]]:
-    """Split n trials into (block index, first trial index, count) spans."""
+def block_spans(n: int) -> Iterator[tuple[int, int, int]]:
+    """Split n trials into (block index, first trial index, count) spans, lazily."""
     if n < 0:
         raise ValueError(f"trial count must be >= 0, got {n}")
-    spans = []
-    start = 0
-    block = 0
-    while start < n:
-        count = min(BLOCK, n - start)
-        spans.append((block, start, count))
-        start += count
-        block += 1
-    return spans
+    return ((block, start, min(BLOCK, n - start))
+            for block, start in enumerate(range(0, n, BLOCK)))

@@ -236,9 +236,9 @@ class SampleDump:
 def load_sample_csv(path) -> SampleDump:
     """Reads a sample dump written by the simulation engine.
 
-    Expects the header trial,collided,t,c_1,...,c_d; rows without a
-    collision leave the time and location fields empty and come back
-    as NaN.
+    Expects the header trial,collided,t,c_1,...,c_d.  A hit row (collided
+    true) fills every field; a miss row (false) leaves t and c empty, read
+    back as NaN.  Any other row is refused.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -250,14 +250,25 @@ def load_sample_csv(path) -> SampleDump:
         if header[3:] != expected:
             raise ValueError(f"{path}: location columns {header[3:]!r} != {expected!r}")
         trial, collided, times, locs = [], [], [], []
+        miss = [math.nan] * d
         for row in reader:
             if len(row) != 3 + d:
                 raise ValueError(f"{path}: row has {len(row)} fields, expected {3 + d}")
+            # a hit fills every time and location field, a miss none of them
+            flag, fields = row[1], row[2:]
+            if flag == "true" and all(fields):
+                times.append(float(fields[0]))
+                locs.append([float(v) for v in fields[1:]])
+            elif flag == "false" and not any(fields):
+                times.append(math.nan)
+                locs.append(miss)
+            elif flag not in ("true", "false"):
+                raise ValueError(f"{path}: collided field {flag!r} is not 'true' or 'false'")
+            else:
+                kind = "hit row with an empty" if flag == "true" else "miss row with a filled"
+                raise ValueError(f"{path}: trial {row[0]}: {kind} time or location field")
             trial.append(int(row[0]))
-            hit = row[1] == "true"
-            collided.append(hit)
-            times.append(float(row[2]) if row[2] else math.nan)
-            locs.append([float(v) if v else math.nan for v in row[3:]])
+            collided.append(flag == "true")
     return SampleDump(
         trial=np.asarray(trial, dtype=np.int64),
         collided=np.asarray(collided, dtype=bool),

@@ -5,11 +5,15 @@ import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 
 import collide.analytic
+import collide.cli
+import collide.montecarlo
 from collide.analytic import location_coefficient
 from collide.cli import main
+from collide.stats import load_sample_csv
 
 ENVELOPE_KEYS = {"command", "params", "results", "seed", "elapsed", "version"}
 
@@ -137,6 +141,30 @@ class TestSimulate:
     def test_negative_seed_exits_2(self, capsys):
         assert main(["simulate", "--d", "2", "--r", "0.5", "--n", "100", "--seed", "-1"]) == 2
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_retained_samples_are_first_hits_of_dump(self, tmp_path, capsys, monkeypatch,
+                                                     workers):
+        monkeypatch.delenv("COLLIDE_THREADS", raising=False)
+        runs = []
+
+        def recording_run(config, dump=None):
+            runs.append(collide.montecarlo.run(config, dump))
+            return runs[-1]
+
+        monkeypatch.setattr(collide.cli, "run", recording_run)
+        out = tmp_path / "samples.csv"
+        code, rep = run_cli(capsys, "simulate", "--d", "2", "--r", "0.4", "--n", "30000",
+                            "--seed", "11", "--workers", workers, "--cap", "500",
+                            "--out", str(out))
+        assert code == 0
+        assert rep["results"]["retained_samples"] == 500
+        dump = load_sample_csv(out)
+        hits = np.flatnonzero(dump.collided)[:500]
+        acc, = runs
+        np.testing.assert_array_equal(acc.sample_trial, dump.trial[hits])
+        np.testing.assert_array_equal(acc.sample_time, dump.times[hits])
+        np.testing.assert_array_equal(acc.sample_location, dump.locations[hits])
+
 
 
 # SHA-256 of `simulate --r 0.3 --n 20000 --seed 7 --out F` by (sampler, d);
@@ -200,6 +228,12 @@ class TestValidate:
 
     def test_unknown_suite_exits_2(self, capsys):
         assert main(["validate", "--suite", "nonesuch"]) == 2
+
+    @pytest.mark.parametrize("alpha", ["nan", "0", "1", "1.5", "-0.1"])
+    def test_alpha_outside_unit_interval_exits_2(self, capsys, alpha):
+        # an argument error, not a validation failure, and no check runs
+        assert main(["validate", "--suite", "analytic", f"--alpha={alpha}"]) == 2
+        assert "alpha" in capsys.readouterr().err
 
 
 class TestDensity:

@@ -38,6 +38,24 @@ def ball_config(**kw):
     return SimConfig(**base)
 
 
+SAMPLE_FIELDS = ("sample_trial", "sample_time", "sample_location")
+
+
+def assert_prefix_of_blocks(cfg, block_fn, got):
+    """``got`` is cfg's run: the counts of every block and, of its block
+    tallies concatenated in trial order, the first cap rows."""
+    tallies = [block_fn(cfg, span, False)[0] for span in block_spans(cfg.n)]
+    assert (got.dim, got.cap) == (cfg.dim, cfg.sample_cap)
+    assert got.trials == sum(t.trials for t in tallies) == cfg.n
+    assert got.collisions == sum(t.collisions for t in tallies)
+    assert got.sample_trial.size == min(cfg.sample_cap, got.collisions)
+    for field in SAMPLE_FIELDS:
+        x = getattr(got, field)
+        y = np.concatenate([getattr(t, field) for t in tallies])[:cfg.sample_cap]
+        assert x.dtype == y.dtype and x.shape == y.shape
+        np.testing.assert_array_equal(x, y)
+
+
 class TestSimConfig:
     def test_valid(self):
         cfg = ball_config()
@@ -334,73 +352,24 @@ class TestDeterminism:
 
 
 class TestRetention:
-    def test_merge_identity(self):
-        a = run_naive(ball_config(n=5_000, seed=20))
-        e = Accumulator.empty(a.dim, a.cap)
-        m = e.merge(a)
-        assert m.collisions == a.collisions and m.trials == a.trials
-        np.testing.assert_array_equal(m.sample_trial, a.sample_trial)
+    def test_cap_keeps_lowest_priorities(self, monkeypatch):
+        # the trial index is the priority: a capped run keeps its cap
+        # lowest-indexed collisions, the uncapped run's first cap rows
+        monkeypatch.delenv("COLLIDE_THREADS", raising=False)
+        for sampler, workers in itertools.product(("naive", "conditional"), (1, 2)):
+            def config(**kw):
+                return ball_config(n=3 * BLOCK + 5, seed=21, sampler=sampler,
+                                   workers=workers, **kw)
 
-    def test_merge_commutative_associative(self):
-        # runs from different seeds share trial numbers, so compare after a
-        # canonical reordering by the (almost surely unique) priorities
-        def canon(acc):
-            order = np.lexsort((acc.sample_trial, acc.sample_priority))
-            return (acc.sample_trial[order], acc.sample_priority[order],
-                    acc.sample_time[order])
-
-        accs = [run_naive(ball_config(n=4_000, seed=s)) for s in (1, 2, 3)]
-        ab = accs[0].merge(accs[1])
-        ba = accs[1].merge(accs[0])
-        for x, y in zip(canon(ab), canon(ba)):
-            np.testing.assert_array_equal(x, y)
-        left = ab.merge(accs[2])
-        right = accs[0].merge(accs[1].merge(accs[2]))
-        assert left.trials == right.trials == 12_000
-        for x, y in zip(canon(left), canon(right)):
-            np.testing.assert_array_equal(x, y)
-
-    def test_merge_guards(self):
-        a = run_naive(ball_config(n=1_000, seed=1))
-        b = run_naive(SimConfig(shape=Ball(radius=0.5, dim=3), n=1_000, seed=1))
-        with pytest.raises(ValueError):
-            a.merge(b)
-        c = run_naive(ball_config(n=1_000, seed=1, sample_cap=10))
-        with pytest.raises(ValueError):
-            a.merge(c)
-        # a fractional dim or cap is refused, not truncated to 2 and 3
-        for dim, cap in ((2.7, 3), (2, 3.2)):
-            with pytest.raises(ValueError):
-                Accumulator.empty(dim, cap)
-
-    def test_block_tallies_merge_in_any_grouping(self):
-        # the engines merge per-block tallies once; a bottom-k of bottom-k's
-        # is the bottom-k of the union, so every grouping and order of the
-        # block merges must give the run's accumulator bit for bit
-        cfg = ball_config(n=3 * BLOCK, seed=24, sample_cap=500)
-        whole = run_naive(cfg)
-        tallies = [mc._naive_block(cfg, span, False)[0] for span in block_spans(cfg.n)]
-        assert len(tallies) == 3
-        assert all(t.collisions > cfg.sample_cap for t in tallies)
-        for x, y, z in itertools.permutations(tallies):
-            for merged in (x.merge(y).merge(z), x.merge(y.merge(z))):
-                assert (merged.trials, merged.collisions) == (whole.trials, whole.collisions)
-                for field in ("sample_trial", "sample_priority", "sample_time",
-                              "sample_location"):
-                    np.testing.assert_array_equal(getattr(merged, field), getattr(whole, field))
-
-    def test_cap_keeps_lowest_priorities(self):
-        full = run_naive(ball_config(n=30_000, seed=21))
-        capped = run_naive(ball_config(n=30_000, seed=21, sample_cap=100))
-        assert capped.collisions == full.collisions
-        assert len(capped.sample_trial) == 100
-        order = np.lexsort((full.sample_trial, full.sample_priority))[:100]
-        want = np.sort(full.sample_trial[order])
-        np.testing.assert_array_equal(capped.sample_trial, want)
-        # retained rows stay sorted by trial with their own data attached
-        assert np.all(np.diff(capped.sample_trial) > 0)
-        keep = np.isin(full.sample_trial, capped.sample_trial)
-        np.testing.assert_array_equal(full.sample_time[keep], capped.sample_time)
+            full = run(config())
+            assert full.sample_trial.size == full.collisions > 2_000
+            for cap in (0, 1, 100, 2_000, full.collisions, full.collisions + 1):
+                capped = run(config(sample_cap=cap))
+                assert (capped.trials, capped.collisions) == (full.trials, full.collisions)
+                for field in SAMPLE_FIELDS:
+                    np.testing.assert_array_equal(
+                        getattr(capped, field), getattr(full, field)[:cap],
+                        err_msg=f"{sampler} sampler, {workers} workers, cap {cap}")
 
     def test_counts_exact_under_cap(self):
         acc = run_naive(ball_config(n=20_000, seed=22, sample_cap=1))
@@ -411,8 +380,8 @@ class TestRetention:
 
 class TestStreamedDrive:
     # mc._drive folds block tallies in trial order while blocks run; these
-    # tests hold it to one _merged over every block, a bounded number of
-    # blocks in flight, and memory that does not grow with n
+    # tests hold it to the first cap rows of every block's tally, a bounded
+    # number of blocks in flight, and memory that does not grow with n
 
     @pytest.mark.parametrize("block_fn", [mc._naive_block, mc._conditional_block])
     @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -422,15 +391,26 @@ class TestStreamedDrive:
         sampler = "naive" if block_fn is mc._naive_block else "conditional"
         cfg = ball_config(n=10 * BLOCK + 123, seed=25, sampler=sampler,
                           workers=workers, sample_cap=cap)
-        want = mc._merged([block_fn(cfg, span, False)[0] for span in block_spans(cfg.n)])
-        assert cap >= want.collisions or want.sample_trial.size == cap
-        got = mc._drive(cfg, block_fn, None)
-        assert (got.dim, got.cap, got.trials, got.collisions) == \
-            (want.dim, want.cap, want.trials, want.collisions)
-        for field in ("sample_trial", "sample_priority", "sample_time", "sample_location"):
-            x, y = getattr(got, field), getattr(want, field)
-            assert x.dtype == y.dtype and x.shape == y.shape
-            np.testing.assert_array_equal(x, y)
+        assert_prefix_of_blocks(cfg, block_fn, mc._drive(cfg, block_fn, None))
+
+    def test_block_spans_are_lazy(self):
+        # no list of spans is built before the first block runs.  n = 1e9
+        # goes first: a list of its spans would take about 16 MB and fail
+        # the bound, where one of 1e12's would take gigabytes.
+        for n in (10**9, 10**12):
+            tracemalloc.start()
+            try:
+                first = list(itertools.islice(block_spans(n), 3))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert first == [(0, 0, BLOCK), (1, BLOCK, BLOCK), (2, 2 * BLOCK, BLOCK)]
+            assert peak < 2**20, (n, peak)
+        assert list(block_spans(2 * BLOCK + 5)) == \
+            [(0, 0, BLOCK), (1, BLOCK, BLOCK), (2, 2 * BLOCK, 5)]
+        assert list(block_spans(0)) == []
+        with pytest.raises(ValueError):
+            block_spans(-1)
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_failing_block_stops_the_run(self, monkeypatch, workers):
@@ -500,72 +480,43 @@ class TestStreamedDrive:
 
 
 class TestSampleStore:
-    # mc._RunningBottomK holds the retained rows once, in trial order, and
-    # compacts them in place; these tests hold it to _merged over many
-    # compactions and to memory in proportion to the rows it retains
+    # mc._SampleStore holds the first cap rows once, in trial order; these
+    # tests hold it to the concatenated block tallies cut at the cap, with
+    # the cut inside and at the edges of a block, and to memory in
+    # proportion to the rows it retains
 
     @staticmethod
-    def _assert_fold_equals_merge(cfg, block_fn):
-        want = mc._merged([block_fn(cfg, span, False)[0] for span in block_spans(cfg.n)])
+    def _assert_fold_equals_prefix(cfg, block_fn):
         got = mc._drive(cfg, block_fn, None)
-        assert (got.dim, got.cap, got.trials, got.collisions) == \
-            (want.dim, want.cap, want.trials, want.collisions)
-        for field in ("sample_trial", "sample_priority", "sample_time", "sample_location"):
-            x, y = getattr(got, field), getattr(want, field)
-            assert x.dtype == y.dtype and x.shape == y.shape
-            np.testing.assert_array_equal(x, y)
+        assert_prefix_of_blocks(cfg, block_fn, got)
+        for field in SAMPLE_FIELDS:
             # the result holds little more memory than its own rows
+            x = getattr(got, field)
             owner = x if x.base is None else x.base
             assert owner.nbytes <= 1.25 * x.nbytes
+        return got
 
     @pytest.mark.parametrize("block_fn", [mc._naive_block, mc._conditional_block])
     @pytest.mark.parametrize("cap_offset", [-1, 0, 1])
     def test_repeated_compaction_at_block_collision_count(self, monkeypatch, block_fn,
                                                           cap_offset):
-        # a cap right at one block's collision count, with n far above 2 x cap
+        # a cap one row short of, at and one row past the first block's
+        # collisions, with 40 more blocks that only add to the counts
         monkeypatch.delenv("COLLIDE_THREADS", raising=False)
         sampler = "naive" if block_fn is mc._naive_block else "conditional"
         probe = ball_config(n=BLOCK, seed=28, sampler=sampler)
-        per_block = block_fn(probe, block_spans(BLOCK)[0], False)[0].collisions
+        per_block = block_fn(probe, next(block_spans(BLOCK)), False)[0].collisions
         cfg = ball_config(n=40 * BLOCK + 77, seed=28, sampler=sampler, workers=1,
                           sample_cap=per_block + cap_offset)
-        compactions = []
-        compact = mc._RunningBottomK._compact
-
-        def counting(fold):
-            compactions.append(fold.size)
-            compact(fold)
-
-        monkeypatch.setattr(mc._RunningBottomK, "_compact", counting)
-        self._assert_fold_equals_merge(cfg, block_fn)
-        assert len(compactions) >= 2
+        got = self._assert_fold_equals_prefix(cfg, block_fn)
+        # only a cap past the first block's collisions reaches the second block
+        assert (got.sample_trial[-1] >= BLOCK) == (cap_offset > 0)
 
     @pytest.mark.parametrize("cap", [1, 2, 7, 100])
     def test_small_caps_compact_many_times(self, monkeypatch, cap):
         monkeypatch.delenv("COLLIDE_THREADS", raising=False)
         cfg = ball_config(n=40 * BLOCK + 77, seed=29, workers=2, sample_cap=cap)
-        self._assert_fold_equals_merge(cfg, mc._naive_block)
-
-    @pytest.mark.parametrize("cap", [1, 7, 50, 300])
-    def test_tied_priorities_break_by_trial(self, cap):
-        # engine priorities almost never tie, so feed the fold block tallies
-        # whose priorities take five values, in trial order
-        rng = np.random.default_rng(cap)
-        tallies = []
-        for block, size in enumerate([0, 30, 200, 1, 77, 500, 3, 120]):
-            trial = block * 1000 + np.sort(rng.choice(1000, size, replace=False))
-            tallies.append(Accumulator(
-                dim=2, cap=cap, trials=1000, collisions=size,
-                sample_trial=trial.astype(np.int64),
-                sample_priority=rng.integers(0, 5, size) / 4.0,
-                sample_time=rng.random(size), sample_location=rng.random((size, 2))))
-        fold = mc._RunningBottomK(2, cap)
-        for tally in tallies:
-            fold.add(tally)
-        got, want = fold.result(), mc._merged(tallies)
-        assert (got.trials, got.collisions) == (want.trials, want.collisions)
-        for field in ("sample_trial", "sample_priority", "sample_time", "sample_location"):
-            np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+        self._assert_fold_equals_prefix(cfg, mc._naive_block)
 
     def test_no_reservation_by_cap(self):
         # the store grows with the rows that arrive, not with the cap
@@ -584,7 +535,7 @@ class TestSampleStore:
     def test_fresh_process_peak_within_twice_the_retained_rows(self):
         # peak RSS growth of a default-cap d = 6 run over its post-import,
         # post-warm-up baseline; every trial collides, so 10^6 rows of
-        # 72 bytes are retained.  The peak is VmHWM, not ru_maxrss: a child
+        # 64 bytes are retained.  The peak is VmHWM, not ru_maxrss: a child
         # inherits its parent's ru_maxrss across exec, so a child of a large
         # test process would read no growth at all.
         script = textwrap.dedent("""
@@ -603,8 +554,8 @@ class TestSampleStore:
             run_conditional(config(20_000))
             base = peak_rss()
             acc = run_conditional(config(10**6))
-            kept = sum(a.nbytes for a in (acc.sample_trial, acc.sample_priority,
-                                          acc.sample_time, acc.sample_location))
+            kept = sum(a.nbytes for a in (acc.sample_trial, acc.sample_time,
+                                          acc.sample_location))
             print(peak_rss() - base, kept)
         """)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -614,7 +565,7 @@ class TestSampleStore:
         done = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                               capture_output=True, text=True)
         growth, kept = map(int, done.stdout.split())
-        assert kept == 10**6 * 72
+        assert kept == 10**6 * 64
         assert growth <= 2 * kept, (growth, kept)
 
 
@@ -633,7 +584,10 @@ class TestProportionReport:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            proportion_report(Accumulator.empty(2, 10), seed=0, sampler="naive")
+            proportion_report(Accumulator(
+                dim=2, cap=10, trials=0, collisions=0,
+                sample_trial=np.empty(0, dtype=np.int64), sample_time=np.empty(0),
+                sample_location=np.empty((0, 2))), seed=0, sampler="naive")
 
 
 class TestCsvRoundtrip:
@@ -670,6 +624,22 @@ class TestCsvRoundtrip:
         dump = load_sample_csv(path)
         assert bool(dump.collided.all())
         assert np.all(np.isfinite(dump.times))
+
+    @pytest.mark.parametrize("row, problem", [
+        ("0,TRUE,1.0,2.0,3.0", "collided field"),
+        ("0,yes,1.0,2.0,3.0", "collided field"),
+        ("0,,,,", "collided field"),
+        ("0,false,1.0,2.0,3.0", "miss row"),
+        ("0,false,,,3.0", "miss row"),
+        ("0,true,,2.0,3.0", "hit row"),
+        ("0,true,1.0,2.0,", "hit row"),
+        ("0,true,1.0,2.0", "fields"),
+    ])
+    def test_load_refuses_malformed_rows(self, tmp_path, row, problem):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"trial,collided,t,c_1,c_2\n1,false,,,\n{row}\n")
+        with pytest.raises(ValueError, match=problem):
+            load_sample_csv(path)
 
     def test_write_skips_empty_blocks(self, tmp_path):
         path = tmp_path / "x.csv"

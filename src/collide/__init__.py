@@ -27,6 +27,7 @@ from .geometry import (
 from .montecarlo import (
     Accumulator,
     SimConfig,
+    load_sample_csv,
     proportion_report,
     run,
     run_conditional,
@@ -37,7 +38,6 @@ from .stats import (
     EstimateReport,
     angular_uniformity_test,
     ks_test,
-    load_sample_csv,
 )
 
 __all__ = [

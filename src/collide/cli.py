@@ -27,16 +27,6 @@ _EXIT_USAGE = 2
 _EXIT_IO = 3
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
-
-
 def _emit(command: str, params: dict, results: dict, seed, started: float) -> None:
     report = {
         "command": command,
@@ -46,7 +36,7 @@ def _emit(command: str, params: dict, results: dict, seed, started: float) -> No
         "elapsed": time.perf_counter() - started,
         "version": __version__,
     }
-    json.dump(report, sys.stdout, indent=2, default=_json_default)
+    json.dump(report, sys.stdout, indent=2)
     sys.stdout.write("\n")
 
 

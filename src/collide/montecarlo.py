@@ -25,25 +25,28 @@ collision indicators, never on the times or locations, and trials are
 i.i.d., so the kept (time, location) rows are an i.i.d. sample of the
 law given a collision, whatever the worker count.
 
-Memory: blocks are folded into the sample store in trial order as they
-finish, with at most 2 x workers blocks in flight, and a dump's rows are
-written as their block comes up.  The store holds each retained sample
-once and grows with the rows that arrive, never past sample_cap rows.
-Peak memory is therefore at most sample_cap retained rows plus the
-blocks in flight (workers x BLOCK trials computing, and at most as many
-finished ones waiting their turn): independent of n, with or without a
-dump.
+Memory: a block returns one record, the tally of its collisions.  Tallies
+are folded into the sample store in trial order as blocks finish, with at
+most 2 x workers blocks in flight, and a dump writes a block's rows (its
+misses are the trials its tally does not list) as the block comes up.
+The store holds each retained sample once and grows with the rows that
+arrive, never past sample_cap rows.  Peak memory is therefore at most
+sample_cap retained rows plus the blocks in flight (workers x BLOCK
+trials computing, and at most as many finished ones waiting their turn):
+independent of n, with or without a dump.  The sample CSV format, its
+writer and its reader ``load_sample_csv``, lives in this module alone.
 """
 
 from __future__ import annotations
 
+import csv
 import itertools
 import math
 import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import IO, Iterable, Optional, Union
+from typing import Iterable
 
 import numpy as np
 
@@ -62,7 +65,8 @@ __all__ = [
     "run_conditional",
     "run",
     "proportion_report",
-    "write_sample_csv",
+    "SampleDump",
+    "load_sample_csv",
 ]
 
 _SQRT_HALF = math.sqrt(0.5)
@@ -264,36 +268,32 @@ def _cap_proposals(rng: np.random.Generator, axis: np.ndarray, c: float, k: int)
     return z
 
 
-def _naive_block(config: SimConfig, span: tuple[int, int, int], want_rows: bool):
-    block, start, m = span
-    d = config.dim
-    g = block_rng(config.seed, block)
-    v = g.standard_normal((m, 2 * d))
-    v1, v2 = v[:, :d], v[:, d:]
-    half = 0.5 * (v1 - v2)
+def _contact_times(shape: ShapeOracle, v: np.ndarray) -> np.ndarray:
+    """Contact times of the velocity pairs ``v`` = (v1 | v2), +inf on a miss:
+    the body's entry scale along the half velocity difference over its speed."""
+    d = shape.dim
+    half = 0.5 * (v[:, :d] - v[:, d:])
     speed = np.sqrt(np.einsum("ij,ij->i", half, half))
     # a zero speed gives NaN directions, which every shape reports as a miss
     with np.errstate(invalid="ignore", divide="ignore"):
-        scale = config.shape.contact_scales(half / speed[:, None])
-    collided = np.isfinite(scale)
-    hit = np.flatnonzero(collided)
-    t = scale[hit] / speed[hit]
-    c = 0.5 * (v1[hit] + v2[hit]) * t[:, None]
-    rows = None
-    if want_rows:
-        t_rows = np.full(m, np.nan)
-        t_rows[hit] = t
-        c_rows = np.full((m, d), np.nan)
-        c_rows[hit] = c
-        rows = (start + np.arange(m, dtype=np.int64), collided, t_rows, c_rows)
-    tally = Accumulator(
+        return shape.contact_scales(half / speed[:, None]) / speed
+
+
+def _naive_block(config: SimConfig, span: tuple[int, int, int]) -> Accumulator:
+    block, start, m = span
+    d = config.dim
+    v = block_rng(config.seed, block).standard_normal((m, 2 * d))
+    t = _contact_times(config.shape, v)
+    hit = np.flatnonzero(np.isfinite(t))
+    t = t[hit]
+    c = 0.5 * (v[:, :d][hit] + v[:, d:][hit]) * t[:, None]
+    return Accumulator(
         dim=d, cap=config.sample_cap, trials=m, collisions=int(hit.size),
         sample_trial=start + hit.astype(np.int64), sample_time=t, sample_location=c,
     )
-    return tally, rows
 
 
-def _conditional_block(config: SimConfig, span: tuple[int, int, int], want_rows: bool):
+def _conditional_block(config: SimConfig, span: tuple[int, int, int]) -> Accumulator:
     block, start, m = span
     shape = config.shape
     d = shape.dim
@@ -326,13 +326,10 @@ def _conditional_block(config: SimConfig, span: tuple[int, int, int], want_rows:
     drift = g.standard_normal((m, d)) * _SQRT_HALF
     t = scale / speed
     c = drift * t[:, None]
-    idx = start + np.arange(m, dtype=np.int64)
-    rows = (idx, np.ones(m, dtype=bool), t, c) if want_rows else None
-    tally = Accumulator(
+    return Accumulator(
         dim=d, cap=config.sample_cap, trials=m, collisions=m,
-        sample_trial=idx, sample_time=t, sample_location=c,
+        sample_trial=start + np.arange(m, dtype=np.int64), sample_time=t, sample_location=c,
     )
-    return tally, rows
 
 
 def _resolve_workers(requested: int, blocks: int) -> int:
@@ -354,8 +351,8 @@ def _resolve_workers(requested: int, blocks: int) -> int:
     return min(value, blocks, 8 * (os.cpu_count() or 1))
 
 
-def _block_outputs(config: SimConfig, block_fn, spans, workers: int, want_rows: bool):
-    """Yields each block's (tally, rows) in trial order.
+def _block_outputs(config: SimConfig, block_fn, spans, workers: int):
+    """Yields each block's tally in trial order.
 
     With several workers at most 2 x workers blocks are submitted and not
     yet yielded; when the consumer stops early or a block raises, the
@@ -363,18 +360,18 @@ def _block_outputs(config: SimConfig, block_fn, spans, workers: int, want_rows: 
     """
     if workers == 1:
         for span in spans:
-            yield block_fn(config, span, want_rows)
+            yield block_fn(config, span)
         return
     todo = iter(spans)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        pending = deque(pool.submit(block_fn, config, span, want_rows)
+        pending = deque(pool.submit(block_fn, config, span)
                         for span in itertools.islice(todo, 2 * workers))
         try:
             while pending:
                 yield pending.popleft().result()
                 span = next(todo, None)
                 if span is not None:
-                    pending.append(pool.submit(block_fn, config, span, want_rows))
+                    pending.append(pool.submit(block_fn, config, span))
         finally:
             for future in pending:
                 future.cancel()
@@ -434,24 +431,23 @@ def _drive(config: SimConfig, block_fn, dump) -> Accumulator:
     # a block's tally holds every collision of the block; the cap applies
     # here, so no caller sees a tally over it
     store = _SampleStore(config.dim, config.sample_cap)
-    outputs = _block_outputs(config, block_fn, block_spans(config.n), workers,
-                             dump is not None)
+    tallies = _block_outputs(config, block_fn, block_spans(config.n), workers)
 
-    def rows():
-        for tally, block_rows in outputs:
+    def stored():
+        for tally in tallies:
             store.add(tally)
-            yield block_rows
+            yield tally
 
     try:
         if dump is None:
-            for _ in rows():
+            for _ in stored():
                 pass
         else:
             # opens the file before the first block runs, then writes each
             # block's rows as that block comes up in trial order
-            write_sample_csv(dump, config.dim, rows())
+            _write_sample_csv(dump, config.dim, stored())
     finally:
-        outputs.close()
+        tallies.close()
     return store.result()
 
 
@@ -494,37 +490,98 @@ def proportion_report(acc: Accumulator, seed: int, sampler: str,
 
 
 # ---------------------------------------------------------------------------
-# CSV output
+# Sample CSV
 # ---------------------------------------------------------------------------
 
 
-def write_sample_csv(path_or_file: Union[str, os.PathLike, IO[str]], dim: int,
-                     row_blocks: Iterable[Optional[tuple]]) -> None:
-    """Writes trial rows as CSV: trial,collided,t,c_1,...,c_d.
+@dataclass(frozen=True)
+class SampleDump:
+    """Parsed contents of a simulation sample CSV."""
 
-    Misses leave the time and location fields empty.  Row order follows
-    the iteration order of ``row_blocks``, which the engines emit by
-    ascending trial index.
+    trial: np.ndarray
+    collided: np.ndarray
+    times: np.ndarray
+    locations: np.ndarray
+
+
+def _csv_header(dim: int) -> list[str]:
+    return ["trial", "collided", "t"] + [f"c_{i + 1}" for i in range(dim)]
+
+
+def _write_sample_csv(path_or_file, dim: int, tallies: Iterable[Accumulator]) -> None:
+    """Writes one CSV row per trial: trial,collided,t,c_1,...,c_d.
+
+    ``tallies`` are a run's block tallies in trial order, each holding
+    every collision of its block; blocks are consecutive from trial 0, so
+    the trials a tally does not list are its block's misses, which leave
+    the time and location fields empty.  A run's capped Accumulator is not
+    such a tally: its collisions past the cap would be written as misses.
     """
     own = isinstance(path_or_file, (str, os.PathLike))
     fh = open(path_or_file, "w", newline="") if own else path_or_file
     try:
-        header = ["trial", "collided", "t"] + [f"c_{i + 1}" for i in range(dim)]
-        fh.write(",".join(header) + "\n")
+        fh.write(",".join(_csv_header(dim)) + "\n")
         # %.17g round-trips every double; a miss leaves t and c empty
         hit_row = "%d,true," + ",".join(["%.17g"] * (dim + 1))
         miss_tail = ",false," + "," * dim
-        for block in row_blocks:
-            if block is None:
-                continue
-            idx, collided, t, c = block
-            lines = [
-                hit_row % (j, tj, *cj) if hit else f"{j}{miss_tail}"
-                for j, hit, tj, cj in zip(idx.tolist(), collided.tolist(), t.tolist(),
-                                          c.tolist())
-            ]
-            if lines:
-                fh.write("\n".join(lines) + "\n")
+        first = 0
+        for tally in tallies:
+            # every trial of the block a miss, then its collisions written over
+            lines = [f"{i}{miss_tail}" for i in range(first, first + tally.trials)]
+            for row in zip(tally.sample_trial.tolist(), tally.sample_time.tolist(),
+                           *tally.sample_location.T.tolist()):
+                lines[row[0] - first] = hit_row % row
+            first += tally.trials
+            fh.write("\n".join(lines) + "\n")
     finally:
         if own:
             fh.close()
+
+
+def load_sample_csv(path) -> SampleDump:
+    """Reads a sample dump written by the simulation engine.
+
+    Expects the header trial,collided,t,c_1,...,c_d.  A hit row (collided
+    true) fills every field with a finite number; a miss row (false) leaves
+    t and c empty, read back as NaN.  Trials must be 0, 1, 2, ... in order.
+    Any other row is refused.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        d = len(header) - 3
+        if d < 1 or header != _csv_header(d):
+            raise ValueError(f"{path}: not a sample CSV (header {header!r})")
+        trial, collided, times, locs = [], [], [], []
+        miss = [math.nan] * d
+        for row in reader:
+            if len(row) != 3 + d:
+                raise ValueError(f"{path}: row has {len(row)} fields, expected {3 + d}")
+            # a hit fills every time and location field, a miss none of them
+            flag, fields = row[1], row[2:]
+            if flag == "true" and all(fields):
+                times.append(float(fields[0]))
+                locs.append([float(v) for v in fields[1:]])
+            elif flag == "false" and not any(fields):
+                times.append(math.nan)
+                locs.append(miss)
+            elif flag not in ("true", "false"):
+                raise ValueError(f"{path}: collided field {flag!r} is not 'true' or 'false'")
+            else:
+                kind = "hit row with an empty" if flag == "true" else "miss row with a filled"
+                raise ValueError(f"{path}: trial {row[0]}: {kind} time or location field")
+            trial.append(int(row[0]))
+            collided.append(flag == "true")
+    dump = SampleDump(
+        trial=np.asarray(trial, dtype=np.int64),
+        collided=np.asarray(collided, dtype=bool),
+        times=np.asarray(times, dtype=float),
+        locations=np.asarray(locs, dtype=float).reshape(len(trial), d),
+    )
+    # run once the rows are read, so a malformed row is named first
+    if not np.array_equal(dump.trial, np.arange(len(trial))):
+        raise ValueError(f"{path}: trial indices are not 0, 1, 2, ... in order")
+    finite = np.isfinite(dump.times) & np.isfinite(dump.locations).all(axis=1)
+    if not finite[dump.collided].all():
+        raise ValueError(f"{path}: a hit row has a non-finite time or location")
+    return dump

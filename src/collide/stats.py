@@ -3,12 +3,12 @@
 Only the tests the validation suites need: a one-sample KS test with the
 asymptotic Kolmogorov p-value, the per-axis marginal null for directions
 uniform on a sphere, a Bonferroni-combined rotation-invariance check,
-and a score-type binomial confidence interval.
+and a score-type binomial confidence interval (the sample CSV loader is
+``montecarlo.load_sample_csv``).
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -20,12 +20,10 @@ from .specfun import _require_int, kolmogorov_sf, reg_inc_beta
 __all__ = [
     "StatTestResult",
     "EstimateReport",
-    "SampleDump",
     "ks_test",
     "sphere_coord_cdf",
     "angular_uniformity_test",
     "binomial_ci",
-    "load_sample_csv",
 ]
 
 
@@ -217,61 +215,3 @@ def binomial_ci(k: int, n: int, level: float) -> tuple[float, float]:
               z * math.sqrt(z2 + 2.0 - 1.0 / n + 4.0 * p * (n * (1.0 - p) - 1.0))) / denom
         hi = min(1.0, hi)
     return lo, hi
-
-
-@dataclass(frozen=True)
-class SampleDump:
-    """Parsed contents of a simulation sample CSV."""
-
-    trial: np.ndarray
-    collided: np.ndarray
-    times: np.ndarray
-    locations: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.locations.shape[1]
-
-
-def load_sample_csv(path) -> SampleDump:
-    """Reads a sample dump written by the simulation engine.
-
-    Expects the header trial,collided,t,c_1,...,c_d.  A hit row (collided
-    true) fills every field; a miss row (false) leaves t and c empty, read
-    back as NaN.  Any other row is refused.
-    """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or len(header) < 4 or header[:3] != ["trial", "collided", "t"]:
-            raise ValueError(f"{path}: not a sample CSV (bad header {header!r})")
-        d = len(header) - 3
-        expected = [f"c_{i + 1}" for i in range(d)]
-        if header[3:] != expected:
-            raise ValueError(f"{path}: location columns {header[3:]!r} != {expected!r}")
-        trial, collided, times, locs = [], [], [], []
-        miss = [math.nan] * d
-        for row in reader:
-            if len(row) != 3 + d:
-                raise ValueError(f"{path}: row has {len(row)} fields, expected {3 + d}")
-            # a hit fills every time and location field, a miss none of them
-            flag, fields = row[1], row[2:]
-            if flag == "true" and all(fields):
-                times.append(float(fields[0]))
-                locs.append([float(v) for v in fields[1:]])
-            elif flag == "false" and not any(fields):
-                times.append(math.nan)
-                locs.append(miss)
-            elif flag not in ("true", "false"):
-                raise ValueError(f"{path}: collided field {flag!r} is not 'true' or 'false'")
-            else:
-                kind = "hit row with an empty" if flag == "true" else "miss row with a filled"
-                raise ValueError(f"{path}: trial {row[0]}: {kind} time or location field")
-            trial.append(int(row[0]))
-            collided.append(flag == "true")
-    return SampleDump(
-        trial=np.asarray(trial, dtype=np.int64),
-        collided=np.asarray(collided, dtype=bool),
-        times=np.asarray(times, dtype=float),
-        locations=np.asarray(locs, dtype=float).reshape(len(trial), d),
-    )

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import analytic, stats
 from .geometry import Ball, Ellipsoid, VelocityPair, collision_time, com_split
-from .montecarlo import SimConfig, run_conditional, run_naive
+from .montecarlo import SimConfig, _contact_times, run_conditional, run_naive
 from .rng import block_rng, check_seed, offset_seed
 
 __all__ = ["SUITES", "run_suite", "suite_analytic", "suite_mc", "suite_location", "suite_rotation"]
@@ -118,23 +118,16 @@ def _naive_prob_check(name: str, d: int, r: float, n: int, seed: int) -> dict:
 
 
 def _solver_agreement_check(d: int, r: float, pairs: int, seed: int) -> dict:
-    # The engine's batched kernel (half-speed, Ball.contact_scales) picks
-    # the colliding rows; the scalar time-of-impact quadratic and com_split
-    # then recompute only the first `pairs` of them.  An oracle miss on a
-    # row the kernel hits reads as a NaN gap, which fails the check.
+    # The naive engine's own kernel picks the colliding rows; the scalar
+    # time-of-impact quadratic and com_split then recompute only the first
+    # `pairs` of them.  An oracle miss on a row the kernel hits reads as a
+    # NaN gap, which fails the check.
     shape = Ball(radius=r, dim=d)
-
-    def batched_times(v: np.ndarray) -> np.ndarray:
-        half = 0.5 * (v[:, :d] - v[:, d:])
-        speed = np.sqrt(np.einsum("ij,ij->i", half, half))
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return shape.contact_scales(half / speed[:, None]) / speed
-
     g = block_rng(seed, 0)
     rows, found = [], 0
     while found < pairs:
         v = g.standard_normal((4096, 2 * d))
-        rows.append(v[np.isfinite(batched_times(v))][:pairs - found])
+        rows.append(v[np.isfinite(_contact_times(shape, v))][:pairs - found])
         found += len(rows[-1])
     v = np.concatenate(rows)
     t, drift = np.empty(pairs), np.empty((pairs, d))
@@ -143,7 +136,7 @@ def _solver_agreement_check(d: int, r: float, pairs: int, seed: int) -> dict:
         t_row = collision_time(pair, r)
         t[i] = np.nan if t_row is None else t_row
         drift[i] = com_split(pair).v_mean
-    worst_t = float(np.max(np.abs(t - batched_times(v))))
+    worst_t = float(np.max(np.abs(t - _contact_times(shape, v))))
     c = 0.5 * (v[:, :d] + v[:, d:]) * t[:, None]
     worst_c = float(np.max(np.abs(c - drift * t[:, None])))
     passed = worst_t <= 1e-9 and worst_c <= 1e-12

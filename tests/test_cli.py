@@ -13,7 +13,7 @@ import collide.cli
 import collide.montecarlo
 from collide.analytic import location_coefficient
 from collide.cli import main
-from collide.stats import load_sample_csv
+from collide.montecarlo import load_sample_csv
 
 ENVELOPE_KEYS = {"command", "params", "results", "seed", "elapsed", "version"}
 

@@ -25,11 +25,11 @@ from collide.montecarlo import (
     run_conditional,
     run_naive,
     sample_cap_direction,
+    load_sample_csv,
     sample_relative_speed,
-    write_sample_csv,
 )
 from collide.rng import BLOCK, block_rng, block_spans, offset_seed
-from collide.stats import ks_test, load_sample_csv
+from collide.stats import ks_test
 
 
 def ball_config(**kw):
@@ -44,7 +44,7 @@ SAMPLE_FIELDS = ("sample_trial", "sample_time", "sample_location")
 def assert_prefix_of_blocks(cfg, block_fn, got):
     """``got`` is cfg's run: the counts of every block and, of its block
     tallies concatenated in trial order, the first cap rows."""
-    tallies = [block_fn(cfg, span, False)[0] for span in block_spans(cfg.n)]
+    tallies = [block_fn(cfg, span) for span in block_spans(cfg.n)]
     assert (got.dim, got.cap) == (cfg.dim, cfg.sample_cap)
     assert got.trials == sum(t.trials for t in tallies) == cfg.n
     assert got.collisions == sum(t.collisions for t in tallies)
@@ -210,22 +210,24 @@ def _rotated(ellipsoid: Ellipsoid, seed: int) -> Ellipsoid:
 class TestShapeProtocol:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_naive_rows_match_scalar_solver(self, d):
-        # one whole block, row by row against the scalar time-of-impact
+        # one whole block, row by row against the scalar time-of-impact: a
+        # row the tally lists is a scalar hit, and any other row a miss
         r, seed = 0.3, 61
-        _, (_, collided, t, c) = mc._naive_block(
-            ball_config(shape=Ball(radius=r, dim=d), seed=seed), (0, 0, BLOCK), True)
+        tally = mc._naive_block(
+            ball_config(shape=Ball(radius=r, dim=d), seed=seed), (0, 0, BLOCK))
+        listed = dict(zip(tally.sample_trial.tolist(),
+                          zip(tally.sample_time, tally.sample_location)))
+        assert len(listed) == tally.collisions > 100
         v = block_rng(seed, 0).standard_normal((BLOCK, 2 * d))
-        hits = 0
         for j, row in enumerate(v):
             pair = VelocityPair(row[:d], row[d:])
             want = collision_time(pair, r)
-            assert collided[j] == (want is not None)
+            assert (j in listed) == (want is not None)
             if want is not None:
-                hits += 1
-                assert t[j] == pytest.approx(want, rel=1e-12)
-                np.testing.assert_allclose(c[j], com_split(pair).v_mean * want,
+                t, c = listed[j]
+                assert t == pytest.approx(want, rel=1e-12)
+                np.testing.assert_allclose(c, com_split(pair).v_mean * want,
                                            rtol=1e-12, atol=0.0)
-        assert hits > 100
 
     def test_rotated_ellipsoid_same_time_law(self):
         # a rotation off the axis takes the Householder path; contact times
@@ -417,12 +419,12 @@ class TestStreamedDrive:
         monkeypatch.delenv("COLLIDE_THREADS", raising=False)
         started, threads = [], set()
 
-        def block_fn(config, span, want_rows):
+        def block_fn(config, span):
             started.append(span[0])
             threads.add(threading.current_thread())
             if span[0] == 5:
                 raise RuntimeError("block 5 failed")
-            return mc._naive_block(config, span, want_rows)
+            return mc._naive_block(config, span)
 
         cfg = ball_config(n=40 * BLOCK, seed=26, workers=workers, sample_cap=100)
         with pytest.raises(RuntimeError, match="block 5 failed"):
@@ -434,9 +436,9 @@ class TestStreamedDrive:
     def test_unwritable_dump_fails_before_any_block(self, monkeypatch):
         calls = []
 
-        def counting(config, span, want_rows):
+        def counting(config, span):
             calls.append(span)
-            return mc._naive_block(config, span, want_rows)
+            return mc._naive_block(config, span)
 
         monkeypatch.setattr(mc, "_naive_block", counting)
         with pytest.raises(OSError):
@@ -447,19 +449,19 @@ class TestStreamedDrive:
     @pytest.mark.parametrize("dump", [False, True])
     def test_peak_memory_independent_of_n(self, monkeypatch, tmp_path, workers, dump):
         # tracemalloc sees numpy's buffers; an 8x longer run must not need
-        # more than 1.5x the memory.  With a dump, the rows go to the file
-        # as raw arrays: traced, the CSV writer's per-row strings take about
-        # 10x its untraced second for these 590k rows, and its memory is one
-        # block's lines whatever n is.
+        # more than 1.5x the memory.  With a dump, each block's tally goes
+        # to the file as raw columns: traced, the CSV writer's per-row strings
+        # take about 10x its untraced second for these 590k rows, and its
+        # memory is one block's lines whatever n is.
         monkeypatch.delenv("COLLIDE_THREADS", raising=False)
 
-        def raw_sink(path, dim, row_blocks):
+        def raw_sink(path, dim, tallies):
             with open(path, "wb") as fh:
-                for rows in row_blocks:
-                    for column in rows:
-                        column.tofile(fh)
+                for tally in tallies:
+                    for field in SAMPLE_FIELDS:
+                        getattr(tally, field).tofile(fh)
 
-        monkeypatch.setattr(mc, "write_sample_csv", raw_sink)
+        monkeypatch.setattr(mc, "_write_sample_csv", raw_sink)
 
         def traced_peak(n):
             cfg = ball_config(n=n, seed=27, workers=workers, sample_cap=1000)
@@ -505,7 +507,7 @@ class TestSampleStore:
         monkeypatch.delenv("COLLIDE_THREADS", raising=False)
         sampler = "naive" if block_fn is mc._naive_block else "conditional"
         probe = ball_config(n=BLOCK, seed=28, sampler=sampler)
-        per_block = block_fn(probe, next(block_spans(BLOCK)), False)[0].collisions
+        per_block = block_fn(probe, next(block_spans(BLOCK))).collisions
         cfg = ball_config(n=40 * BLOCK + 77, seed=28, sampler=sampler, workers=1,
                           sample_cap=per_block + cap_offset)
         got = self._assert_fold_equals_prefix(cfg, block_fn)
@@ -641,11 +643,32 @@ class TestCsvRoundtrip:
         with pytest.raises(ValueError, match=problem):
             load_sample_csv(path)
 
-    def test_write_skips_empty_blocks(self, tmp_path):
-        path = tmp_path / "x.csv"
-        write_sample_csv(path, 2, [None])
-        assert path.read_text().splitlines() == ["trial,collided,t,c_1,c_2"]
+    @pytest.mark.parametrize("rows, problem", [
+        (["0,true,nan,2.0,3.0", "1,false,,,"], "non-finite"),
+        (["0,false,,,", "1,true,1.0,inf,3.0"], "non-finite"),
+        (["0,false,,,", "1,true,1.0,2.0,-inf"], "non-finite"),
+        (["0,false,,,", "0,true,1.0,2.0,3.0"], "in order"),
+        (["0,false,,,", "2,true,1.0,2.0,3.0"], "in order"),
+        (["-1,false,,,", "0,true,1.0,2.0,3.0"], "in order"),
+        (["1,false,,,", "0,true,1.0,2.0,3.0"], "in order"),
+    ])
+    def test_load_refuses_bad_trials_and_non_finite_hits(self, tmp_path, rows, problem):
+        # well-formed rows one by one; the file as a whole is not a dump
+        path = tmp_path / "bad.csv"
+        path.write_text("trial,collided,t,c_1,c_2\n" + "\n".join(rows) + "\n")
+        with pytest.raises(ValueError, match=problem):
+            load_sample_csv(path)
 
-    def test_write_rejects_malformed_blocks(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_sample_csv(tmp_path / "y.csv", 2, [(1, 2, 3)])
+    def test_dump_of_blocks_without_collisions(self, tmp_path):
+        # a d = 6 ball of radius 1e-3 is hit with probability 1.7e-16, so
+        # every block's tally is empty and the writer derives every row
+        path = tmp_path / "misses.csv"
+        n = 2 * BLOCK + 5
+        acc = run_naive(ball_config(shape=Ball(radius=1e-3, dim=6), n=n, seed=34,
+                                    workers=2), dump=path)
+        assert acc.collisions == 0
+        dump = load_sample_csv(path)
+        np.testing.assert_array_equal(dump.trial, np.arange(n))
+        assert not dump.collided.any()
+        assert dump.locations.shape == (n, 6)
+        assert np.isnan(dump.times).all() and np.isnan(dump.locations).all()

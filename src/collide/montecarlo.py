@@ -2,10 +2,10 @@
 
 Two samplers share one reproducibility contract:
 
-* ``run_naive`` draws independent Gaussian velocity pairs and records
-  which of them collide, at what time, and where.  Its hit rate
-  estimates the collision probability directly, which becomes hopeless
-  for small radii.
+* ``run_naive`` draws independent Gaussian velocity pairs, screens them
+  against the body's bounding cap, and solves only the candidates for
+  which collide, at what time, and where.  Its hit rate estimates the
+  collision probability directly, which becomes hopeless for small radii.
 * ``run_conditional`` generates only colliding trajectories by
   factoring the motion into the hitting direction, the approach speed,
   and the independent midpoint drift.  Hitting directions come from
@@ -268,24 +268,36 @@ def _cap_proposals(rng: np.random.Generator, axis: np.ndarray, c: float, k: int)
     return z
 
 
-def _contact_times(shape: ShapeOracle, v: np.ndarray) -> np.ndarray:
-    """Contact times of the velocity pairs ``v`` = (v1 | v2), +inf on a miss:
-    the body's entry scale along the half velocity difference over its speed."""
+def _hits(shape: ShapeOracle, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Colliding rows of the velocity pairs ``v`` = (v1 | v2) and their contact
+    times: the entry scale along the half velocity difference over its speed.
+    Only rows inside the bounding cap are solved, each as a solve of all rows would."""
     d = shape.dim
-    half = 0.5 * (v[:, :d] - v[:, d:])
+    half = np.empty((d, v.shape[0]))
+    np.subtract(v[:, :d].T, v[:, d:].T, out=half)
+    half *= 0.5
+    axis, cosine = shape.bounding_cap()
+    # A hit's exact direction lies in the cap z . axis >= cosine.  The
+    # solve's rounding (of z and of the body's quadratic) and the screen's
+    # (of this projection and speed) move a row by a few ulps times d, far
+    # inside the 1e-9 margin, so no hit is screened out.  Cosine -1 keeps
+    # every row; a zero speed is kept, and its NaN direction misses.
+    speed = np.sqrt(np.einsum("ij,ij->j", half, half))
+    rows = np.flatnonzero(axis @ half >= (cosine - 1e-9) * speed)
+    # C-contiguous (k, d) rows, as a full solve reads them: same sums, same bits
+    half = half.T[rows]
     speed = np.sqrt(np.einsum("ij,ij->i", half, half))
-    # a zero speed gives NaN directions, which every shape reports as a miss
     with np.errstate(invalid="ignore", divide="ignore"):
-        return shape.contact_scales(half / speed[:, None]) / speed
+        t = shape.contact_scales(half / speed[:, None]) / speed
+    hit = np.isfinite(t)
+    return rows[hit], t[hit]
 
 
 def _naive_block(config: SimConfig, span: tuple[int, int, int]) -> Accumulator:
     block, start, m = span
     d = config.dim
     v = block_rng(config.seed, block).standard_normal((m, 2 * d))
-    t = _contact_times(config.shape, v)
-    hit = np.flatnonzero(np.isfinite(t))
-    t = t[hit]
+    hit, t = _hits(config.shape, v)
     c = 0.5 * (v[:, :d][hit] + v[:, d:][hit]) * t[:, None]
     return Accumulator(
         dim=d, cap=config.sample_cap, trials=m, collisions=int(hit.size),

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import analytic, stats
 from .geometry import Ball, Ellipsoid, VelocityPair, collision_time, com_split
-from .montecarlo import SimConfig, _contact_times, run_conditional, run_naive
+from .montecarlo import SimConfig, _hits, run_conditional, run_naive
 from .rng import block_rng, check_seed, offset_seed
 
 __all__ = ["SUITES", "run_suite", "suite_analytic", "suite_mc", "suite_location", "suite_rotation"]
@@ -127,7 +127,7 @@ def _solver_agreement_check(d: int, r: float, pairs: int, seed: int) -> dict:
     rows, found = [], 0
     while found < pairs:
         v = g.standard_normal((4096, 2 * d))
-        rows.append(v[np.isfinite(_contact_times(shape, v))][:pairs - found])
+        rows.append(v[_hits(shape, v)[0]][:pairs - found])
         found += len(rows[-1])
     v = np.concatenate(rows)
     t, drift = np.empty(pairs), np.empty((pairs, d))
@@ -136,7 +136,10 @@ def _solver_agreement_check(d: int, r: float, pairs: int, seed: int) -> dict:
         t_row = collision_time(pair, r)
         t[i] = np.nan if t_row is None else t_row
         drift[i] = com_split(pair).v_mean
-    worst_t = float(np.max(np.abs(t - _contact_times(shape, v))))
+    hit, times = _hits(shape, v)
+    kernel = np.full(pairs, np.inf)  # a row the kernel now misses reads as an infinite gap
+    kernel[hit] = times
+    worst_t = float(np.max(np.abs(t - kernel)))
     c = 0.5 * (v[:, :d] + v[:, d:]) * t[:, None]
     worst_c = float(np.max(np.abs(c - drift * t[:, None])))
     passed = worst_t <= 1e-9 and worst_c <= 1e-12

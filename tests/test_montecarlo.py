@@ -279,6 +279,106 @@ class TestShapeProtocol:
         assert np.all(z @ axis >= c - 1e-12)
 
 
+def _unscreened_hits(shape, v):
+    # every row normalised and solved, the kernel's reference
+    d = shape.dim
+    half = 0.5 * (v[:, :d] - v[:, d:])
+    speed = np.sqrt(np.einsum("ij,ij->i", half, half))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        t = shape.contact_scales(half / speed[:, None]) / speed
+    hit = np.flatnonzero(np.isfinite(t))
+    return hit, t[hit]
+
+
+class TestScreenedKernel:
+    """The naive kernel solves only rows inside the bounding cap, bit for bit
+    as a solve of every row."""
+
+    SHAPES = [Ball(radius=r, dim=d) for d in (1, 2, 3, 6, 16) for r in (1e-3, 0.3, 0.95)] + [
+        Ellipsoid.from_semi_axes(center=[-1.0, 0.0, 0.0], semi_axes=[0.1, 0.2, 0.3]),
+        _rotated(Ellipsoid(center=[-1.2, 0.3, 0.1],
+                           matrix=[[4.0, 1.0, 0.5], [1.0, 9.0, -2.0], [0.5, -2.0, 16.0]]), 5),
+        Ellipsoid.from_semi_axes(center=[-1.0, 0.0], semi_axes=[0.3, 2.0]),
+    ]
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"{type(s).__name__}-d{s.dim}-"
+                             + (f"r{s.radius}" if isinstance(s, Ball) else f"cap{s.bounding_cap()[1]:.2f}"))
+    def test_tally_matches_unscreened_solve(self, shape):
+        blocks, seed = 20, 93
+        d = shape.dim
+        acc = run_naive(SimConfig(shape=shape, n=blocks * BLOCK, seed=seed, workers=1))
+        trials, times, locations = [], [], []
+        for block, start, m in block_spans(blocks * BLOCK):
+            v = block_rng(seed, block).standard_normal((m, 2 * d))
+            hit, t = _unscreened_hits(shape, v)
+            trials.append(start + hit)
+            times.append(t)
+            locations.append(0.5 * (v[:, :d][hit] + v[:, d:][hit]) * t[:, None])
+        assert acc.collisions == sum(map(len, trials))
+        assert acc.sample_trial.tobytes() == np.concatenate(trials).astype(np.int64).tobytes()
+        assert acc.sample_time.tobytes() == np.concatenate(times).tobytes()
+        assert acc.sample_location.tobytes() == np.concatenate(locations).tobytes()
+
+    def test_rotated_body_has_an_off_axis_cap(self):
+        body = self.SHAPES[-2]
+        axis, c = body.bounding_cap()
+        assert abs(axis[0]) < 0.99 and c > 0.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_boundary_rows_classified_as_unscreened(self):
+        # directions whose solved first coordinate is the cap cosine (a
+        # grazing hit), one ulp inside and one ulp outside, and a zero speed
+        ball = Ball(radius=0.3, dim=2)
+        c = ball.cap_cosine
+        rows = []
+        for x in (c, np.nextafter(c, 2.0), np.nextafter(c, 0.0)):
+            # walk y by ulps until x^2 + y^2 rounds to 1: the solved z_1 is then x
+            y = math.sqrt(1.0 - x * x)
+            while x * x + y * y != 1.0:
+                y = np.nextafter(y, 0.0 if x * x + y * y > 1.0 else 2.0)
+            rows.append([2.0 * x, 2.0 * y, 0.0, 0.0])
+        rows.append([0.4, -0.7, 0.4, -0.7])
+        v = np.array(rows)
+        half = 0.5 * (v[:3, :2] - v[:3, 2:])
+        z1 = half[:, 0] / np.sqrt(np.einsum("ij,ij->i", half, half))
+        assert z1.tolist() == [c, np.nextafter(c, 2.0), np.nextafter(c, 0.0)]
+        hit, t = mc._hits(ball, v)
+        want_hit, want_t = _unscreened_hits(ball, v)
+        assert hit.tolist() == want_hit.tolist() == [0, 1]
+        assert t.tobytes() == want_t.tobytes()
+
+    @pytest.mark.parametrize("d", [2, 3, 6])
+    def test_rows_within_ulps_of_the_cap_keep_every_hit(self, d):
+        # first coordinates within 4 ulps of the cap cosine, at speeds over
+        # e^(+-3): without its margin the screen drops some of these hits
+        ball, g, k = Ball(radius=0.3, dim=d), np.random.default_rng(17), 4000
+        c = ball.cap_cosine
+        x = c + g.integers(-4, 5, k) * np.spacing(c)
+        w = g.standard_normal((k, d - 1))
+        w /= np.linalg.norm(w, axis=1)[:, None]
+        half = np.column_stack([x, np.sqrt(1.0 - x * x)[:, None] * w])
+        half *= np.exp(g.uniform(-3.0, 3.0, k))[:, None]
+        v = np.hstack([2.0 * half, np.zeros_like(half)])
+        hit, t = mc._hits(ball, v)
+        want_hit, want_t = _unscreened_hits(ball, v)
+        assert hit.tolist() == want_hit.tolist()
+        assert t.tobytes() == want_t.tobytes()
+
+    def test_screen_solves_few_rows(self, monkeypatch):
+        # a small ball hits about 6e-4 of all directions; a kernel that
+        # solves every row again fails here
+        solved = []
+        real = Ball.contact_scales
+
+        def counted(self, z):
+            solved.append(len(z))
+            return real(self, z)
+
+        monkeypatch.setattr(Ball, "contact_scales", counted)
+        tally = mc._naive_block(ball_config(shape=Ball(radius=0.05, dim=3), n=BLOCK), (0, 0, BLOCK))
+        assert tally.collisions <= sum(solved) < 0.01 * BLOCK
+
+
 class TestDeterminism:
     def test_rerun_identical(self):
         a = run_naive(ball_config(n=30_000, seed=9))

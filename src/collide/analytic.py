@@ -42,6 +42,8 @@ def _check_dim(d: int) -> int:
 
 def _check_radius(r):
     """Returns r as a float, or as an array for array input."""
+    if isinstance(r, float) and 0.0 < r < 1.0:
+        return float(r)
     r = np.asarray(r, dtype=float)
     inside = (r > 0.0) & (r < 1.0)
     if not inside.all():

@@ -54,7 +54,9 @@ def _as_vector(name: str, v) -> np.ndarray:
     arr = np.atleast_1d(np.asarray(v, dtype=float))
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError(f"{name} must be a 1-d vector, got shape {arr.shape}")
-    if np.isnan(arr).any():
+    # the max is NaN exactly when an entry is, and unlike a sum it raises no
+    # warning for entries of both infinite signs
+    if math.isnan(arr.max()):
         raise ValueError(f"{name} contains NaN")
     return arr
 
@@ -229,7 +231,13 @@ class Ellipsoid:
         """
         z = np.atleast_2d(np.asarray(z, dtype=float))
         qx0 = self.matrix @ self.center
-        a = np.einsum("ij,jk,ik->i", z, self.matrix, z)
+        # z^T Q z summed term by term in row-major (j, k) order from zero, the
+        # order np.einsum("ij,jk,ik->i", z, Q, z) uses, so the bits match it;
+        # an exact-zero entry adds a signed zero, so it is skipped
+        a = np.zeros(z.shape[0])
+        for (j, k), q in np.ndenumerate(self.matrix):
+            if q != 0.0:
+                a += z[:, j] * q * z[:, k]
         b = z @ qx0
         c0 = float(self.center @ qx0) - 1.0
         disc = b * b - a * c0

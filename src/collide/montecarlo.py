@@ -29,11 +29,12 @@ Memory: a block returns one record, the tally of its collisions.  Tallies
 are folded into the sample store in trial order as blocks finish, with at
 most 2 x workers blocks in flight, and a dump writes a block's rows (its
 misses are the trials its tally does not list) as the block comes up.
-The store holds each retained sample once and grows with the rows that
-arrive, never past sample_cap rows.  Peak memory is therefore at most
-sample_cap retained rows plus the blocks in flight (workers x BLOCK
-trials computing, and at most as many finished ones waiting their turn):
-independent of n, with or without a dump.  The sample CSV format, its
+The store reserves address space for min(sample_cap, n) rows once and
+writes each retained sample once; that space becomes resident only as
+rows arrive.  Peak memory is therefore at most sample_cap retained rows
+plus the blocks in flight (workers x BLOCK trials computing, and at most
+as many finished ones waiting their turn): independent of n, with or
+without a dump.  The sample CSV format, its
 writer and its reader ``load_sample_csv``, lives in this module alone.
 """
 
@@ -167,7 +168,9 @@ def sample_relative_speed(rng: np.random.Generator, d: int, size: int) -> np.nda
     m = _require_int("size", size)
     if m < 1:
         raise ValueError(f"size must be >= 1, got {size}")
-    return np.linalg.norm(rng.standard_normal((m, d)) * _SQRT_HALF, axis=1)
+    normals = rng.standard_normal((m, d))
+    normals *= _SQRT_HALF
+    return np.linalg.norm(normals, axis=1)
 
 
 def _unit_rows(rng: np.random.Generator, m: int, k: int) -> np.ndarray:
@@ -180,7 +183,8 @@ def _unit_rows(rng: np.random.Generator, m: int, k: int) -> np.ndarray:
             break
         out[bad] = rng.standard_normal((int(bad.sum()), k))
         norms = np.linalg.norm(out, axis=1)
-    return out / norms[:, None]
+    out /= norms[:, None]
+    return out
 
 
 def _cap_first_coordinate(rng: np.random.Generator, d: int, c: float, m: int) -> np.ndarray:
@@ -222,22 +226,24 @@ def sample_cap_direction(rng: np.random.Generator, d: int, c: float, size: int) 
     m = _require_int("size", size)
     if m < 1:
         raise ValueError(f"size must be >= 1, got {size}")
+    z = np.empty((m, d))
     if d == 2:
         theta_max = math.acos(c)
         theta = rng.uniform(-theta_max, theta_max, m)
         # cos(acos(c)) can land one ulp below c; clamp so every sampled
         # direction stays inside the cap it was drawn from.
-        z = np.column_stack([np.maximum(np.cos(theta), c), np.sin(theta)])
-    elif d == 3:
-        z1 = rng.uniform(c, 1.0, m)
+        np.maximum(np.cos(theta), c, out=z[:, 0])
+        z[:, 1] = np.sin(theta)
+        return z
+    z1 = rng.uniform(c, 1.0, m) if d == 3 else _cap_first_coordinate(rng, d, c, m)
+    z[:, 0] = z1
+    s = np.sqrt(np.maximum(1.0 - z1 * z1, 0.0))
+    if d == 3:
         phi = rng.uniform(0.0, 2.0 * math.pi, m)
-        s = np.sqrt(np.maximum(1.0 - z1 * z1, 0.0))
-        z = np.column_stack([z1, s * np.cos(phi), s * np.sin(phi)])
+        np.multiply(s, np.cos(phi), out=z[:, 1])
+        np.multiply(s, np.sin(phi), out=z[:, 2])
     else:
-        z1 = _cap_first_coordinate(rng, d, c, m)
-        w = _unit_rows(rng, m, d - 1)
-        s = np.sqrt(np.maximum(1.0 - z1 * z1, 0.0))
-        z = np.column_stack([z1, s[:, None] * w])
+        np.multiply(s[:, None], _unit_rows(rng, m, d - 1), out=z[:, 1:])
     return z
 
 
@@ -335,9 +341,11 @@ def _conditional_block(config: SimConfig, span: tuple[int, int, int]) -> Accumul
                 f"unreachable from the origin"
             )
     speed = sample_relative_speed(g, d, m)
-    drift = g.standard_normal((m, d)) * _SQRT_HALF
+    # the midpoint drift, carried in place to the contact point
+    c = g.standard_normal((m, d))
+    c *= _SQRT_HALF
     t = scale / speed
-    c = drift * t[:, None]
+    c *= t[:, None]
     return Accumulator(
         dim=d, cap=config.sample_cap, trials=m, collisions=m,
         sample_trial=start + np.arange(m, dtype=np.int64), sample_time=t, sample_location=c,
@@ -392,38 +400,31 @@ def _block_outputs(config: SimConfig, block_fn, spans, workers: int):
 class _SampleStore:
     """The first ``cap`` collisions of a stream of block tallies, in one column store.
 
-    Blocks arrive in trial order, so appending each block's rows keeps the
-    store (trial, time and location columns) sorted by trial; once it holds
-    ``cap`` rows, later blocks only add to the counts.  The store grows
-    geometrically with the rows that arrive, never past ``cap`` rows, so
-    each sample costs amortised O(1) work and no memory is reserved by cap.
+    Blocks arrive in trial order, so copying each block's rows in after the
+    last keeps the store (trial, time and location columns) sorted by trial;
+    once it holds ``cap`` rows, later blocks only add to the counts.  A run of
+    n trials has at most n collisions, so each column is allocated once, for
+    min(cap, n) rows, and each sample is written once.  The
+    operating system maps a page only when it is first written, so resident
+    memory follows the rows that arrive; ``result`` gives back the rows never
+    written.
     """
 
-    def __init__(self, dim: int, cap: int) -> None:
+    def __init__(self, dim: int, cap: int, n: int) -> None:
         self.dim, self.cap = dim, cap
+        rows = min(cap, n)
         self.trials = self.collisions = self.size = 0
-        self.columns = [np.empty(0, dtype=np.int64), np.empty(0), np.empty((0, dim))]
+        self.columns = [np.empty(rows, dtype=np.int64), np.empty(rows), np.empty((rows, dim))]
 
     def add(self, tally: Accumulator) -> None:
         self.trials += tally.trials
         self.collisions += tally.collisions
         take = min(self.cap - self.size, tally.sample_trial.size)
-        if take == 0:
-            return
         end = self.size + take
-        capacity = self.columns[0].shape[0]
-        if end > capacity:
-            self._grow(max(end, min(2 * capacity, self.cap)))
         parts = (tally.sample_trial, tally.sample_time, tally.sample_location)
         for column, part in zip(self.columns, parts):
             column[self.size:end] = part[:take]
         self.size = end
-
-    def _grow(self, rows: int) -> None:
-        # one column at a time, so at most one old column outlives its copy
-        for i, column in enumerate(self.columns):
-            self.columns[i] = np.empty((rows,) + column.shape[1:], dtype=column.dtype)
-            self.columns[i][:self.size] = column[:self.size]
 
     def result(self) -> Accumulator:
         if self.columns[0].shape[0] > self.size + self.size // 4:
@@ -442,7 +443,7 @@ def _drive(config: SimConfig, block_fn, dump) -> Accumulator:
     workers = _resolve_workers(config.workers, -(-config.n // BLOCK))
     # a block's tally holds every collision of the block; the cap applies
     # here, so no caller sees a tally over it
-    store = _SampleStore(config.dim, config.sample_cap)
+    store = _SampleStore(config.dim, config.sample_cap, config.n)
     tallies = _block_outputs(config, block_fn, block_spans(config.n), workers)
 
     def stored():

@@ -224,6 +224,57 @@ def _rotation(seed: int, d: int) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
+def _einsum_contact_scales(e: Ellipsoid, z: np.ndarray) -> np.ndarray:
+    """Ellipsoid.contact_scales with z^T Q z as the three-operand einsum."""
+    qx0 = e.matrix @ e.center
+    a = np.einsum("ij,jk,ik->i", z, e.matrix, z)
+    b = z @ qx0
+    c0 = float(e.center @ qx0) - 1.0
+    disc = b * b - a * c0
+    with np.errstate(invalid="ignore"):
+        scale = c0 / (-b + np.sqrt(disc))
+    return np.where((b < 0.0) & (disc >= 0.0), scale, np.inf)
+
+
+def _cap_edge_rows(axis: np.ndarray, c: float, seed: int, m: int) -> np.ndarray:
+    """m unit rows whose angle to the axis is within 3 ulps of arccos(c)."""
+    w = _sphere_rows(seed, m, axis.size)
+    w -= np.outer(w @ axis, axis)
+    w /= np.linalg.norm(w, axis=1, keepdims=True)
+    theta = math.acos(c) + math.ulp(1.0) * np.resize(np.arange(-3.0, 4.0), m)
+    return np.cos(theta)[:, None] * axis + np.sin(theta)[:, None] * w
+
+
+class TestEllipsoidQuadratic:
+    # contact_scales sums z^T Q z term by term; these tests pin its bits to
+    # the einsum it replaced, for diagonal and dense Q, on random rows, on
+    # rows at the edge of the bounding cap and on NaN rows
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    @pytest.mark.parametrize("form", ["diagonal", "sphere", "rotated"])
+    def test_matches_einsum_bit_for_bit(self, d, form):
+        semi = np.linspace(0.2, 0.6, d)
+        if form == "diagonal":
+            e = Ellipsoid.from_semi_axes(center=-np.eye(d)[0], semi_axes=semi)
+        elif form == "sphere":
+            # its bounding cap is its hit set, so the cap-edge rows graze
+            e = Ellipsoid.from_semi_axes(center=-np.eye(d)[0], semi_axes=np.full(d, 0.4))
+        else:
+            rot = _rotation(d, d)
+            e = Ellipsoid(center=-rot[:, 0],
+                          matrix=rot @ np.diag(semi**-2.0) @ rot.T)
+            assert np.count_nonzero(e.matrix) == d * d
+        axis, c = e.bounding_cap()
+        one_nan = axis.copy()
+        one_nan[-1] = np.nan
+        z = np.concatenate([_sphere_rows(d, 20_000, d), _cap_edge_rows(axis, c, d, 2_000),
+                            np.full((1, d), np.nan), one_nan[None, :]])
+        got = e.contact_scales(z)
+        assert np.array_equal(got, _einsum_contact_scales(e, z))
+        assert np.isfinite(got[:-2]).sum() > 50
+        assert np.all(got[-2:] == np.inf)
+
+
 class TestBoundingCap:
     def test_ball_cap_is_the_hit_set(self):
         for d in (1, 2, 3, 6):

@@ -621,7 +621,7 @@ class TestSampleStore:
         self._assert_fold_equals_prefix(cfg, mc._naive_block)
 
     def test_no_reservation_by_cap(self):
-        # the store grows with the rows that arrive, not with the cap
+        # the store reserves min(cap, n) rows, never rows by the cap alone
         cfg = ball_config(n=3 * BLOCK, seed=30, workers=1, sample_cap=10**12)
         tracemalloc.start()
         try:
@@ -669,6 +669,51 @@ class TestSampleStore:
         growth, kept = map(int, done.stdout.split())
         assert kept == 10**6 * 64
         assert growth <= 2 * kept, (growth, kept)
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                        reason="needs the process's own high-water RSS (VmHWM)")
+    def test_fresh_process_peak_follows_the_rows_written(self):
+        # VmHWM growth in a fresh process, as in the test above.  Three
+        # default-cap d = 6 runs, each result dropped before the next, peak at
+        # about one run's retained rows: each column is allocated once and
+        # each row written once.  A naive run that reserves 2 x 10^6 rows and
+        # writes about 60 of them adds next to nothing, because reserved rows
+        # become resident only when they are written.
+        script = textwrap.dedent("""
+            from collide.geometry import Ball
+            from collide.montecarlo import SimConfig, run_conditional, run_naive
+
+            def peak_rss():
+                with open("/proc/self/status") as fh:
+                    line = next(l for l in fh if l.startswith("VmHWM:"))
+                return int(line.split()[1]) * 1024
+
+            def conditional(n):
+                acc = run_conditional(SimConfig(shape=Ball(0.1, 6), n=n, seed=31,
+                                                sampler="conditional", workers=1))
+                return sum(a.nbytes for a in (acc.sample_trial, acc.sample_time,
+                                              acc.sample_location))
+
+            conditional(20_000)
+            base = peak_rss()
+            kept = [conditional(500_000) for _ in range(3)]
+            repeated = peak_rss() - base
+            base = peak_rss()
+            acc = run_naive(SimConfig(shape=Ball(0.01, 3), n=2 * 10**6, seed=32,
+                                      workers=1, sample_cap=10**7))
+            print(repeated, kept[0], peak_rss() - base, acc.collisions)
+        """)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(pathlib.Path(mc.__file__).parents[1])] +
+            [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        env.pop("COLLIDE_THREADS", None)
+        done = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                              capture_output=True, text=True)
+        repeated, kept, sparse, hits = map(int, done.stdout.split())
+        assert kept == 500_000 * 64
+        assert repeated <= 1.25 * kept, (repeated, kept)
+        assert 0 < hits < 200
+        assert sparse < 8 * 2**20, sparse
 
 
 class TestProportionReport:

@@ -22,7 +22,6 @@ from .geometry import (
     collision_time,
     com_split,
     contact_scale,
-    hit_fraction_mc,
 )
 from .montecarlo import (
     Accumulator,
@@ -58,7 +57,6 @@ __all__ = [
     "com_split",
     "collision_time",
     "contact_scale",
-    "hit_fraction_mc",
     "SimConfig",
     "Accumulator",
     "run",

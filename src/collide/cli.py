@@ -90,8 +90,8 @@ def _cmd_validate(args) -> int:
 
 def _cmd_density(args) -> int:
     started = time.perf_counter()
-    if args.rmax <= 0.0:
-        raise ValueError(f"--rmax must be positive, got {args.rmax}")
+    if not 0.0 < args.rmax < math.inf:
+        raise ValueError(f"--rmax must be positive and finite, got {args.rmax}")
     if args.points < 2:
         raise ValueError(f"--points must be >= 2, got {args.points}")
     if args.mode == "limit":

@@ -27,9 +27,6 @@ from typing import Optional, Union
 import numpy as np
 
 from .analytic import _check_dim, _check_radius
-from .rng import block_rng, block_spans
-from .specfun import _require_int
-from .stats import EstimateReport
 
 __all__ = [
     "VelocityPair",
@@ -40,12 +37,7 @@ __all__ = [
     "com_split",
     "collision_time",
     "contact_scale",
-    "hit_fraction_mc",
 ]
-
-# The centers are hard-wired at -e1 and +e1, so their separation is 2
-# and the relative displacement X1 - X2 is -2 * e1.
-CENTER_SEPARATION = 2.0
 
 _UNIT_NORM_TOL = 1e-12
 
@@ -180,8 +172,8 @@ class Ellipsoid:
         q = np.asarray(self.matrix, dtype=float)
         if q.shape != (x0.size, x0.size):
             raise ValueError(f"matrix shape {q.shape} does not match center dimension {x0.size}")
-        if np.isnan(q).any():
-            raise ValueError("matrix contains NaN")
+        if not (np.isfinite(x0).all() and np.isfinite(q).all()):
+            raise ValueError("center and matrix must be finite")
         if not np.allclose(q, q.T, rtol=1e-10, atol=1e-12):
             raise ValueError("matrix must be symmetric")
         try:
@@ -199,7 +191,9 @@ class Ellipsoid:
         semi = _as_vector("semi_axes", semi_axes)
         if not (semi > 0.0).all():
             raise ValueError("semi-axes must be positive")
-        return cls(center=center, matrix=np.diag(1.0 / semi**2))
+        with np.errstate(over="ignore", divide="ignore"):  # inf is refused by cls
+            matrix = np.diag(1.0 / semi**2)
+        return cls(center=center, matrix=matrix)
 
     @property
     def dim(self) -> int:
@@ -269,25 +263,3 @@ def contact_scale(shape: ShapeOracle, z) -> Optional[float]:
     value = float(shape.contact_scales(z[None, :])[0])
     return None if math.isinf(value) else value
 
-
-def hit_fraction_mc(shape: ShapeOracle, n: int, seed: int,
-                    ci_level: float = 0.9999) -> EstimateReport:
-    """Fraction of uniform random directions whose ray meets the body.
-
-    For a ball this estimates the collision probability itself (the
-    hitting directions form the spherical cap whose mass is the exact
-    formula); for other bodies it is the unconditional weight needed to
-    turn conditional expectations into plain ones.
-    """
-    n = _require_int("direction count", n)
-    if n < 1:
-        raise ValueError(f"need at least one direction, got n={n}")
-    d = shape.dim
-    hits = 0
-    for block, _start, count in block_spans(n):
-        z = block_rng(seed, block).standard_normal((count, d))
-        # a zero draw gives a NaN direction, which every shape reports as a miss
-        with np.errstate(invalid="ignore"):
-            scales = shape.contact_scales(z / np.linalg.norm(z, axis=1, keepdims=True))
-        hits += int(np.isfinite(scales).sum())
-    return EstimateReport.from_counts(hits, n, seed, "direction", ci_level)

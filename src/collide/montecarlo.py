@@ -133,11 +133,9 @@ class Accumulator:
     """Tally of a simulation run.
 
     Counts are exact; the time/location samples are the run's first
-    ``cap`` collisions, sorted by trial index (see the module docstring).
+    ``sample_cap`` collisions, sorted by trial index (see the module docstring).
     """
 
-    dim: int
-    cap: int
     trials: int
     collisions: int
     sample_trial: np.ndarray
@@ -306,7 +304,7 @@ def _naive_block(config: SimConfig, span: tuple[int, int, int]) -> Accumulator:
     hit, t = _hits(config.shape, v)
     c = 0.5 * (v[:, :d][hit] + v[:, d:][hit]) * t[:, None]
     return Accumulator(
-        dim=d, cap=config.sample_cap, trials=m, collisions=int(hit.size),
+        trials=m, collisions=int(hit.size),
         sample_trial=start + hit.astype(np.int64), sample_time=t, sample_location=c,
     )
 
@@ -347,7 +345,7 @@ def _conditional_block(config: SimConfig, span: tuple[int, int, int]) -> Accumul
     t = scale / speed
     c *= t[:, None]
     return Accumulator(
-        dim=d, cap=config.sample_cap, trials=m, collisions=m,
+        trials=m, collisions=m,
         sample_trial=start + np.arange(m, dtype=np.int64), sample_time=t, sample_location=c,
     )
 
@@ -411,7 +409,7 @@ class _SampleStore:
     """
 
     def __init__(self, dim: int, cap: int, n: int) -> None:
-        self.dim, self.cap = dim, cap
+        self.cap = cap
         rows = min(cap, n)
         self.trials = self.collisions = self.size = 0
         self.columns = [np.empty(rows, dtype=np.int64), np.empty(rows), np.empty((rows, dim))]
@@ -434,7 +432,7 @@ class _SampleStore:
                 column.resize((self.size,) + column.shape[1:], refcheck=False)
         trial, times, locations = (column[:self.size] for column in self.columns)
         return Accumulator(
-            dim=self.dim, cap=self.cap, trials=self.trials, collisions=self.collisions,
+            trials=self.trials, collisions=self.collisions,
             sample_trial=trial, sample_time=times, sample_location=locations,
         )
 
@@ -496,10 +494,9 @@ def run(config: SimConfig, dump=None) -> Accumulator:
     return run_conditional(config, dump)
 
 
-def proportion_report(acc: Accumulator, seed: int, sampler: str,
-                      ci_level: float = 0.9999) -> EstimateReport:
+def proportion_report(acc: Accumulator, seed: int, sampler: str) -> EstimateReport:
     """Collision-fraction estimate with its confidence interval."""
-    return EstimateReport.from_counts(acc.collisions, acc.trials, seed, sampler, ci_level)
+    return EstimateReport.from_counts(acc.collisions, acc.trials, seed, sampler)
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,9 @@ class StatTestResult:
         }
 
 
+_CI_LEVEL = 0.9999
+
+
 @dataclass(frozen=True)
 class EstimateReport:
     """A Monte Carlo proportion estimate with its uncertainty."""
@@ -76,11 +79,10 @@ class EstimateReport:
         }
 
     @classmethod
-    def from_counts(cls, successes: int, trials: int, seed: int, sampler: str,
-                    ci_level: float) -> EstimateReport:
+    def from_counts(cls, successes: int, trials: int, seed: int, sampler: str) -> EstimateReport:
         """The estimate successes/trials with its standard error and
-        ``binomial_ci`` interval."""
-        lo, hi = binomial_ci(successes, trials, ci_level)
+        ``binomial_ci`` interval at level ``_CI_LEVEL``."""
+        lo, hi = binomial_ci(successes, trials, _CI_LEVEL)
         p_hat = successes / trials
         return cls(
             estimate=p_hat,
@@ -89,7 +91,7 @@ class EstimateReport:
             std_error=math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / trials),
             ci_low=lo,
             ci_high=hi,
-            ci_level=ci_level,
+            ci_level=_CI_LEVEL,
             seed=int(seed),
             sampler=sampler,
         )

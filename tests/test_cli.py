@@ -277,6 +277,13 @@ class TestDensity:
         assert main(["density", "--d", "2", "--points", "1",
                      "--out", str(tmp_path / "x.csv")]) == 2
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("rmax", ["0", "-1", "nan", "inf"])
+    def test_bad_rmax_exits_2(self, capsys, tmp_path, rmax):
+        assert main(["density", "--d", "2", "--rmax", rmax,
+                     "--out", str(tmp_path / "x.csv")]) == 2
+        assert "--rmax" in capsys.readouterr().err
+
 
 class TestTable:
     def test_rows(self, capsys):

@@ -12,7 +12,6 @@ from collide.geometry import (
     collision_time,
     com_split,
     contact_scale,
-    hit_fraction_mc,
 )
 from collide.rng import block_rng
 
@@ -187,6 +186,17 @@ class TestEllipsoid:
             # origin inside the body
             Ellipsoid(np.array([0.1, 0.0]), np.eye(2))
 
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_refused(self):
+        # a semi-axis whose 1/s^2 overflows, an infinite matrix entry and an
+        # infinite center are refused before any arithmetic warns on them
+        with pytest.raises(ValueError, match="finite"):
+            Ellipsoid.from_semi_axes(center=[-2.0, 0.0], semi_axes=[1e-160, 0.6])
+        with pytest.raises(ValueError, match="finite"):
+            Ellipsoid(np.array([-2.0, 0.0]), np.array([[np.inf, 0.0], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match="finite"):
+            Ellipsoid.from_semi_axes(center=[-np.inf, 0.0], semi_axes=[0.3, 0.6])
+
     def test_from_semi_axes(self):
         e = Ellipsoid.from_semi_axes(center=[-1.0, 0.0], semi_axes=[0.3, 0.6])
         np.testing.assert_allclose(e.matrix, np.diag([1 / 0.09, 1 / 0.36]), rtol=1e-14)
@@ -306,30 +316,3 @@ class TestBoundingCap:
         np.testing.assert_array_equal(axis, [1.0, 0.0])
         assert c == -1.0
 
-
-class TestHitFraction:
-    def test_ball_d2(self):
-        b = Ball(radius=0.5, dim=2)
-        rep = hit_fraction_mc(b, n=200_000, seed=5)
-        want = math.acos(b.cap_cosine) / math.pi
-        assert rep.ci_low <= want <= rep.ci_high
-        assert rep.estimate == pytest.approx(want, abs=5e-3)
-
-    def test_ball_d3(self):
-        b = Ball(radius=0.6, dim=3)
-        rep = hit_fraction_mc(b, n=200_000, seed=6)
-        want = 0.5 * (1.0 - b.cap_cosine)
-        assert rep.ci_low <= want <= rep.ci_high
-
-    @pytest.mark.parametrize("n", [0, -3, 2.5])
-    def test_invalid_n(self, n):
-        # a fraction is refused, not truncated to 2 directions
-        with pytest.raises(ValueError):
-            hit_fraction_mc(Ball(radius=0.5, dim=2), n=n, seed=1)
-
-    def test_deterministic(self):
-        b = Ball(radius=0.4, dim=2)
-        r1 = hit_fraction_mc(b, n=50_000, seed=9)
-        r2 = hit_fraction_mc(b, n=50_000, seed=9)
-        assert r1.estimate == r2.estimate
-        assert r1.successes == r2.successes

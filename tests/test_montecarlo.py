@@ -45,7 +45,6 @@ def assert_prefix_of_blocks(cfg, block_fn, got):
     """``got`` is cfg's run: the counts of every block and, of its block
     tallies concatenated in trial order, the first cap rows."""
     tallies = [block_fn(cfg, span) for span in block_spans(cfg.n)]
-    assert (got.dim, got.cap) == (cfg.dim, cfg.sample_cap)
     assert got.trials == sum(t.trials for t in tallies) == cfg.n
     assert got.collisions == sum(t.collisions for t in tallies)
     assert got.sample_trial.size == min(cfg.sample_cap, got.collisions)
@@ -260,7 +259,7 @@ class TestShapeProtocol:
     @pytest.mark.parametrize("d", [1, 2, 6])
     def test_ball_block_draws_one_cap_sample(self, d):
         # a ball keeps every cap proposal, so a block draws exactly m cap
-        # directions, then the speeds, drifts and priorities
+        # directions, then the speeds and drifts
         ball, m, seed = Ball(radius=0.3, dim=d), 500, 81
         acc = run_conditional(SimConfig(shape=ball, n=m, seed=seed, sampler="conditional"))
         g = block_rng(seed, 0)
@@ -454,9 +453,9 @@ class TestDeterminism:
 
 
 class TestRetention:
-    def test_cap_keeps_lowest_priorities(self, monkeypatch):
-        # the trial index is the priority: a capped run keeps its cap
-        # lowest-indexed collisions, the uncapped run's first cap rows
+    def test_cap_keeps_first_collisions_in_trial_order(self, monkeypatch):
+        # a capped run keeps its cap lowest-indexed collisions, the uncapped
+        # run's first cap rows
         monkeypatch.delenv("COLLIDE_THREADS", raising=False)
         for sampler, workers in itertools.product(("naive", "conditional"), (1, 2)):
             def config(**kw):
@@ -732,7 +731,7 @@ class TestProportionReport:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             proportion_report(Accumulator(
-                dim=2, cap=10, trials=0, collisions=0,
+                trials=0, collisions=0,
                 sample_trial=np.empty(0, dtype=np.int64), sample_time=np.empty(0),
                 sample_location=np.empty((0, 2))), seed=0, sampler="naive")
 

@@ -58,14 +58,18 @@ def _cmd_prob(args) -> int:
 
 def _cmd_simulate(args) -> int:
     started = time.perf_counter()
+    # the report prints only how many samples a run keeping its first --cap
+    # collisions holds, min(cap, collisions), so the engine stores none
     config = SimConfig(
         shape=Ball(radius=args.r, dim=args.d),
         n=args.n,
         seed=args.seed,
         sampler=args.sampler,
         workers=args.workers,
-        sample_cap=args.cap,
+        sample_cap=0,
     )
+    if args.cap < 0:
+        raise ValueError(f"--cap must be >= 0, got {args.cap}")
     acc = run(config, dump=args.out)
     report = proportion_report(acc, seed=args.seed, sampler=args.sampler)
     params = {
@@ -73,7 +77,7 @@ def _cmd_simulate(args) -> int:
         "workers": args.workers, "cap": args.cap, "out": args.out,
     }
     results = report.to_json()
-    results["retained_samples"] = int(acc.sample_trial.size)
+    results["retained_samples"] = min(args.cap, acc.collisions)
     _emit("simulate", params, results, args.seed, started)
     return _EXIT_OK
 
@@ -164,8 +168,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=0,
                    help="worker threads; 0 = machine parallelism; COLLIDE_THREADS overrides")
     p.add_argument("--cap", type=int, default=DEFAULT_SAMPLE_CAP,
-                   help="keep the first CAP collisions in trial order as samples "
-                        "(default 10^6)")
+                   help="retained_samples is min(CAP, successes), what a library run keeping "
+                        "its first CAP collisions holds (default 10^6); simulate keeps none")
     p.add_argument("--out", default=None, help="write per-trial sample CSV here")
     p.set_defaults(fn=_cmd_simulate)
 

@@ -109,7 +109,7 @@ def suite_analytic() -> list[dict]:
 
 def _naive_prob_check(name: str, d: int, r: float, n: int, seed: int) -> dict:
     p = analytic.collision_prob_exact(r, d)
-    acc = run_naive(SimConfig(shape=Ball(radius=r, dim=d), n=n, seed=seed))
+    acc = run_naive(SimConfig(shape=Ball(radius=r, dim=d), n=n, seed=seed, sample_cap=0))
     tol = 4.0 * math.sqrt(p * (1.0 - p) / n)
     err = abs(acc.p_hat - p)
     return _check(name, err <= tol,

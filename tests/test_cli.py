@@ -1,11 +1,12 @@
 """Command-line surface: JSON envelopes, CSV outputs, exit codes."""
 
 import csv
+import dataclasses
 import hashlib
 import json
 import math
+import tracemalloc
 
-import numpy as np
 import pytest
 
 import collide.analytic
@@ -13,7 +14,6 @@ import collide.cli
 import collide.montecarlo
 from collide.analytic import location_coefficient
 from collide.cli import main
-from collide.montecarlo import load_sample_csv
 
 ENVELOPE_KEYS = {"command", "params", "results", "seed", "elapsed", "version"}
 
@@ -141,30 +141,57 @@ class TestSimulate:
     def test_negative_seed_exits_2(self, capsys):
         assert main(["simulate", "--d", "2", "--r", "0.5", "--n", "100", "--seed", "-1"]) == 2
 
+    @pytest.mark.parametrize("sampler", ["naive", "conditional"])
+    def test_negative_cap_exits_2(self, capsys, sampler):
+        assert main(["simulate", "--sampler", sampler, "--d", "2", "--r", "0.5",
+                     "--n", "100", "--cap", "-1"]) == 2
+        assert "cap" in capsys.readouterr().err
+
     @pytest.mark.parametrize("workers", ["1", "2"])
-    def test_retained_samples_are_first_hits_of_dump(self, tmp_path, capsys, monkeypatch,
-                                                     workers):
+    def test_retained_samples_are_first_hits_of_dump(self, capsys, monkeypatch, workers):
+        # the engine keeps no samples for the CLI; the reported number is what
+        # a library run with sample_cap=--cap keeps, its first hits in trial
+        # order (tests/test_montecarlo.py holds those to the dump's first hits)
         monkeypatch.delenv("COLLIDE_THREADS", raising=False)
-        runs = []
+        configs = []
 
         def recording_run(config, dump=None):
-            runs.append(collide.montecarlo.run(config, dump))
-            return runs[-1]
+            configs.append(config)
+            return collide.montecarlo.run(config, dump)
 
         monkeypatch.setattr(collide.cli, "run", recording_run)
-        out = tmp_path / "samples.csv"
-        code, rep = run_cli(capsys, "simulate", "--d", "2", "--r", "0.4", "--n", "30000",
-                            "--seed", "11", "--workers", workers, "--cap", "500",
-                            "--out", str(out))
-        assert code == 0
-        assert rep["results"]["retained_samples"] == 500
-        dump = load_sample_csv(out)
-        hits = np.flatnonzero(dump.collided)[:500]
-        acc, = runs
-        np.testing.assert_array_equal(acc.sample_trial, dump.trial[hits])
-        np.testing.assert_array_equal(acc.sample_time, dump.times[hits])
-        np.testing.assert_array_equal(acc.sample_location, dump.locations[hits])
+        for cap in (0, 500, 10**6):
+            code, rep = run_cli(capsys, "simulate", "--d", "2", "--r", "0.4", "--n", "30000",
+                                "--seed", "11", "--workers", workers, "--cap", str(cap))
+            assert code == 0
+            config = configs[-1]
+            assert config.sample_cap == 0
+            successes = rep["results"]["successes"]
+            assert 500 < successes < 10**6
+            library = collide.montecarlo.run(dataclasses.replace(config, sample_cap=cap))
+            assert rep["results"]["retained_samples"] == min(cap, successes) \
+                == library.sample_trial.size
+        assert len(configs) == 3
 
+    def test_peak_memory_independent_of_cap(self, monkeypatch):
+        # the report prints only counts, so a default-cap run holds no more
+        # than a --cap 0 one: at 2e5 conditional d = 6 trials, a store for
+        # every hit would add 12.8 MB to a traced peak of a few MB
+        monkeypatch.delenv("COLLIDE_THREADS", raising=False)
+        argv = ["simulate", "--sampler", "conditional", "--d", "6", "--r", "0.1",
+                "--n", "200000", "--workers", "1"]
+
+        def traced_peak(extra):
+            tracemalloc.start()
+            try:
+                assert main(argv + extra) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        no_cap = traced_peak(["--cap", "0"])
+        default_cap = traced_peak([])
+        assert default_cap <= 1.2 * no_cap, (default_cap, no_cap)
 
 
 # SHA-256 of `simulate --r 0.3 --n 20000 --seed 7 --out F` by (sampler, d);

@@ -472,6 +472,19 @@ class TestRetention:
                         getattr(capped, field), getattr(full, field)[:cap],
                         err_msg=f"{sampler} sampler, {workers} workers, cap {cap}")
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_retained_samples_are_first_hits_of_dump(self, tmp_path, monkeypatch, workers):
+        monkeypatch.delenv("COLLIDE_THREADS", raising=False)
+        out = tmp_path / "samples.csv"
+        acc = run_naive(ball_config(shape=Ball(radius=0.4, dim=2), n=30_000, seed=11,
+                                    workers=workers, sample_cap=500), dump=out)
+        assert acc.sample_trial.size == 500 < acc.collisions
+        dump = load_sample_csv(out)
+        hits = np.flatnonzero(dump.collided)[:500]
+        np.testing.assert_array_equal(acc.sample_trial, dump.trial[hits])
+        np.testing.assert_array_equal(acc.sample_time, dump.times[hits])
+        np.testing.assert_array_equal(acc.sample_location, dump.locations[hits])
+
     def test_counts_exact_under_cap(self):
         acc = run_naive(ball_config(n=20_000, seed=22, sample_cap=1))
         assert acc.collisions > 3_000

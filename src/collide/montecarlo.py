@@ -13,7 +13,11 @@ Two samplers share one reproducibility contract:
   kept where the ray meets the body.  For a ball the cap is exactly the
   hit set, so every proposal is kept.  Every trial is a collision;
   multiply conditional expectations by the collision probability to
-  recover unconditional ones.
+  recover unconditional ones.  At d >= 4 a direction is built from
+  Gaussian normals, whose squared norm is independent of it, and the
+  trial's speed reuses that norm (see ``sample_relative_speed``); this
+  moved the conditional streams at d >= 4, while the d <= 3 and naive
+  streams are those of earlier versions.
 
 Reproducibility: trials are processed in fixed blocks of ``rng.BLOCK``;
 block i draws from a Philox stream keyed by (seed, i).  The result is a
@@ -160,7 +164,11 @@ def sample_relative_speed(rng: np.random.Generator, d: int, size: int) -> np.nda
     """Norm of the half velocity difference: sqrt(S/2) with S chi-square(d).
 
     Sampled exactly as the norm of d independent centered normals with
-    variance 1/2.
+    variance 1/2.  The collision-only engine calls this at d <= 3.  At
+    d >= 4 it reuses the radius of the direction it already drew: the
+    normals behind a direction have a squared norm independent of it,
+    so the engine adds the squares of only the normals that bring their
+    count to d (one for a cap direction, none for a whole-sphere one).
     """
     d = _check_dim(d)
     m = _require_int("size", size)
@@ -171,40 +179,77 @@ def sample_relative_speed(rng: np.random.Generator, d: int, size: int) -> np.nda
     return np.linalg.norm(normals, axis=1)
 
 
-def _unit_rows(rng: np.random.Generator, m: int, k: int) -> np.ndarray:
-    """m uniform random unit vectors in R^k via normalized Gaussians."""
+def _unit_rows(rng: np.random.Generator, m: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """m uniform random unit vectors in R^k via normalized Gaussians, and
+    each row's squared Gaussian norm: chi-square(k), independent of the row."""
     out = rng.standard_normal((m, k))
-    norms = np.linalg.norm(out, axis=1)
+    norms2 = np.add.reduce(out * out, axis=1)
     while True:
-        bad = norms == 0.0
+        bad = norms2 == 0.0
         if not bad.any():
             break
         out[bad] = rng.standard_normal((int(bad.sum()), k))
-        norms = np.linalg.norm(out, axis=1)
-    out /= norms[:, None]
-    return out
+        norms2 = np.add.reduce(out * out, axis=1)
+    out /= np.sqrt(norms2)[:, None]
+    return out, norms2
 
 
 def _cap_first_coordinate(rng: np.random.Generator, d: int, c: float, m: int) -> np.ndarray:
-    """First coordinate of a uniform cap direction for d >= 4.
+    """w = 1 - z_1^2 of m uniform directions on the cap z_1 >= c, d >= 4.
 
-    Target density on [c, 1] is proportional to (1 - x^2)^((d-3)/2),
-    decreasing there, so a uniform proposal accepted with probability
-    ((1 - x^2) / (1 - c^2))^((d-3)/2) is exact.
+    On the cap z_1 has density proportional to (1 - z_1^2)^((d-3)/2) on
+    [c, 1].  Two exact rejection samplers draw it:
+
+    * Wood's (Simulation of the von Mises Fisher distribution, 1994)
+      proposes w = (1 - c^2) U^(2/(d-1)), whose z_1 has density
+      proportional to z_1 (1 - z_1^2)^((d-3)/2), and keeps it with
+      probability c / z_1, at least c;
+    * a z_1 uniform on [c, 1] is kept with probability
+      ((1 - z_1^2) / (1 - c^2))^((d-3)/2).
+
+    The shares they keep stand in the ratio c (d - 1) / (1 + c), so
+    Wood's is used when c (d - 2) >= 1, which holds for every cap but
+    the widest (c near 0, a ball of radius near 1).  The share kept is
+    then at least max(c, 1/sqrt(d)): Wood's keeps at least c, and the
+    uniform proposal, used below c = 1/(d - 2), keeps more than
+    1/sqrt(d) (checked numerically on a grid up to d = 1000).
     """
-    exponent = 0.5 * (d - 3)
     base = (1.0 - c) * (1.0 + c)
-    out = np.empty(m)
+    wood = c * (d - 2) >= 1.0
+    kept_share = max(c, 1.0 / math.sqrt(d))
+    w = np.empty(m)
     have = 0
     while have < m:
-        k = max(128, 2 * (m - have))
-        proposal = rng.uniform(c, 1.0, k)
-        u = rng.random(k)
-        accepted = proposal[u <= ((1.0 - proposal * proposal) / base) ** exponent]
-        take = min(accepted.size, m - have)
-        out[have:have + take] = accepted[:take]
+        need = m - have
+        # enough proposals to fill every row in the usual case: at most
+        # about 2 sqrt(d) uniforms per row, within the block's own memory
+        k = math.ceil((need + 4.0 * math.sqrt(need) + 8.0) / kept_share)
+        u = rng.random((2, k))
+        if wood:
+            proposal = base * u[0] ** (2.0 / (d - 1))
+            keep = u[1] * np.sqrt(1.0 - proposal) <= c
+        else:
+            z1 = c + (1.0 - c) * u[0]
+            proposal = (1.0 - z1) * (1.0 + z1)
+            keep = u[1] <= (proposal / base) ** (0.5 * (d - 3))
+        kept = proposal[keep]
+        take = min(kept.size, need)
+        w[have:have + take] = kept[:take]
         have += take
-    return out
+    return w
+
+
+def _cap_rows(rng: np.random.Generator, d: int, c: float, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """m uniform directions on the cap z_1 >= c for d >= 4, and the squared
+    norm of the d - 1 normals behind each row's other components: a
+    chi-square(d - 1) variate independent of the row."""
+    w = _cap_first_coordinate(rng, d, c, m)
+    unit, radius2 = _unit_rows(rng, m, d - 1)
+    z = np.empty((m, d))
+    # 1 - w >= c^2 up to rounding; clamp so every row stays inside its cap
+    np.maximum(np.sqrt(1.0 - w), c, out=z[:, 0])
+    np.multiply(np.sqrt(w)[:, None], unit, out=z[:, 1:])
+    return z, radius2
 
 
 def sample_cap_direction(rng: np.random.Generator, d: int, c: float, size: int) -> np.ndarray:
@@ -212,8 +257,12 @@ def sample_cap_direction(rng: np.random.Generator, d: int, c: float, size: int) 
 
     d = 2 draws the polar angle uniformly on [-arccos c, arccos c];
     d = 3 uses the exact uniformity of the first coordinate on [c, 1];
-    d >= 4 rejection-samples the first coordinate and attaches an
-    independent uniform direction for the remaining components.
+    d >= 4 draws w = 1 - z_1^2 by Wood's rejection sampler, which
+    usually takes one round (a uniform proposal for the widest caps),
+    and sets the other components to sqrt(w) times a uniform direction
+    built from d - 1 normals.  The collision-only engine draws its d >= 4
+    cap directions the same way and keeps the squared norm of those
+    normals for the trial's speed (see ``sample_relative_speed``).
     """
     d = _require_int("dimension", d)
     if d < 2:
@@ -224,6 +273,8 @@ def sample_cap_direction(rng: np.random.Generator, d: int, c: float, size: int) 
     m = _require_int("size", size)
     if m < 1:
         raise ValueError(f"size must be >= 1, got {size}")
+    if d >= 4:
+        return _cap_rows(rng, d, c, m)[0]
     z = np.empty((m, d))
     if d == 2:
         theta_max = math.acos(c)
@@ -233,15 +284,12 @@ def sample_cap_direction(rng: np.random.Generator, d: int, c: float, size: int) 
         np.maximum(np.cos(theta), c, out=z[:, 0])
         z[:, 1] = np.sin(theta)
         return z
-    z1 = rng.uniform(c, 1.0, m) if d == 3 else _cap_first_coordinate(rng, d, c, m)
+    z1 = rng.uniform(c, 1.0, m)
     z[:, 0] = z1
     s = np.sqrt(np.maximum(1.0 - z1 * z1, 0.0))
-    if d == 3:
-        phi = rng.uniform(0.0, 2.0 * math.pi, m)
-        np.multiply(s, np.cos(phi), out=z[:, 1])
-        np.multiply(s, np.sin(phi), out=z[:, 2])
-    else:
-        np.multiply(s[:, None], _unit_rows(rng, m, d - 1), out=z[:, 1:])
+    phi = rng.uniform(0.0, 2.0 * math.pi, m)
+    np.multiply(s, np.cos(phi), out=z[:, 1])
+    np.multiply(s, np.sin(phi), out=z[:, 2])
     return z
 
 
@@ -250,26 +298,31 @@ def sample_cap_direction(rng: np.random.Generator, d: int, c: float, size: int) 
 # ---------------------------------------------------------------------------
 
 
-def _cap_proposals(rng: np.random.Generator, axis: np.ndarray, c: float, k: int) -> np.ndarray:
+def _cap_proposals(rng: np.random.Generator, axis: np.ndarray, c: float,
+                   k: int) -> tuple[np.ndarray, np.ndarray | None]:
     """k uniform directions on the cap {z : z . axis >= c}; c = -1 is the sphere.
 
     In one dimension a cap with c > 0 is the single point axis.
     Otherwise cap directions are drawn around e1 and carried onto the
     axis by the Householder reflection along v = axis - e1, which maps
-    e1 to the axis and is skipped when they coincide.
+    e1 to the axis and is skipped when they coincide.  At d >= 4 the
+    rows come with the squared norm of the normals each was built from
+    (d - 1 on a cap, d on the sphere), which is independent of the row;
+    at d <= 3 that radius is None.
     """
     d = axis.size
     if d == 1:
-        return np.tile(axis, (k, 1))
+        return np.tile(axis, (k, 1)), None
     if c <= -1.0:
-        return _unit_rows(rng, k, d)
-    z = sample_cap_direction(rng, d, c, k)
+        z, radius2 = _unit_rows(rng, k, d)
+        return z, (radius2 if d >= 4 else None)
+    z, radius2 = _cap_rows(rng, d, c, k) if d >= 4 else (sample_cap_direction(rng, d, c, k), None)
     v = axis.copy()
     v[0] -= 1.0
     vv = float(v @ v)
     if vv > 0.0:
         z -= np.outer(z @ v, v * (2.0 / vv))
-    return z
+    return z, radius2
 
 
 def _hits(shape: ShapeOracle, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -318,19 +371,20 @@ def _conditional_block(config: SimConfig, span: tuple[int, int, int]) -> Accumul
     # the first round draws one proposal per trial, so a body whose cap is
     # its hit set (a ball) takes that round alone; later rounds fill the
     # rows whose proposal missed, each with an independent hit
-    z = _cap_proposals(g, axis, cosine, m)
+    z, radius2 = _cap_proposals(g, axis, cosine, m)
     scale = shape.contact_scales(z)
     proposals = m
     missing = np.flatnonzero(~np.isfinite(scale))
     while missing.size:
         k = max(256, 2 * missing.size)
-        unit = _cap_proposals(g, axis, cosine, k)
+        unit, radii2 = _cap_proposals(g, axis, cosine, k)
         proposals += k
         scales = shape.contact_scales(unit)
         hit = np.flatnonzero(np.isfinite(scales))[:missing.size]
         fill, missing = missing[:hit.size], missing[hit.size:]
-        z[fill] = unit[hit]
         scale[fill] = scales[hit]
+        if radius2 is not None:
+            radius2[fill] = radii2[hit]
         have = m - missing.size
         if proposals >= _REJECTION_PROPOSAL_LIMIT and have < _REJECTION_MIN_RATE * proposals:
             raise RuntimeError(
@@ -338,7 +392,14 @@ def _conditional_block(config: SimConfig, span: tuple[int, int, int]) -> Accumul
                 f"{proposals} proposals (cap cosine {cosine}); the body is practically "
                 f"unreachable from the origin"
             )
-    speed = sample_relative_speed(g, d, m)
+    if radius2 is None:
+        speed = sample_relative_speed(g, d, m)
+    else:
+        # sqrt(S/2) with S the squared norm of d normals: a direction's own
+        # normals give d - 1 of them on a cap (all d on the sphere)
+        if cosine > -1.0:
+            radius2 += np.square(g.standard_normal(m))
+        speed = np.sqrt(0.5 * radius2)
     # the midpoint drift, carried in place to the contact point
     c = g.standard_normal((m, d))
     c *= _SQRT_HALF

@@ -39,8 +39,9 @@ def _require_number(name: str, value: float) -> float:
 
 def _require_int(name: str, value) -> int:
     """Returns value as an int; anything but an int or a numpy integer is
-    refused rather than truncated."""
-    if not isinstance(value, (int, np.integer)):
+    refused rather than truncated, and so is a bool, which Python counts
+    as an int."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
 

@@ -200,7 +200,7 @@ GOLDEN_SIMULATE_CSV = {
     ("conditional", 1): "fb763e84d0f6a9fdff0a9ffb27ae3954430b1964537eec4640389759bd858b5e",
     ("conditional", 2): "cdc90cc606706aa69fbcba498da5609ee36714a2b586f4d125f2feb9316fc9b5",
     ("conditional", 3): "4ccbeeb1970b27d6277286949ef733d3a0d7359980bd2ada0568ee9ca90181b8",
-    ("conditional", 6): "87c888c425cd1d67e6634126463d0a016d228ffba4693b3d8986d3025c8105c9",
+    ("conditional", 6): "de865a1922f9ed93d6738aedfced8a01ea796eaec2f5beb288fd785704bf7d32",
     ("naive", 1): "b6373476cec699b3152ed27917fb3c05f199a3bf00420584fd4589322b7acde6",
     ("naive", 2): "5e8e6f3a639b5e72f7218dc07be30d3f52cfc53dbe3ab19bfc4c2576b6f4b9bd",
     ("naive", 3): "875c370c1097fc20c755531aa8f64b3fe7ad355935601fe97319aac693f8d4de",

@@ -12,6 +12,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 
 import collide.montecarlo as mc
@@ -71,6 +72,14 @@ class TestSimConfig:
     def test_invalid(self, kw):
         with pytest.raises((ValueError, TypeError)):
             ball_config(**kw)
+
+    @pytest.mark.parametrize("flag", [True, np.bool_(True)])
+    def test_bool_is_not_an_integer(self, flag):
+        # Python counts True as the int 1; as a count or a dimension it is a slip
+        for build in (lambda: ball_config(n=flag), lambda: ball_config(seed=flag),
+                      lambda: Ball(0.5, flag)):
+            with pytest.raises(ValueError, match="must be an integer"):
+                build()
 
     def test_largest_seed_runs(self):
         acc = run_naive(ball_config(n=100, seed=2**64 - 1))
@@ -253,18 +262,24 @@ class TestShapeProtocol:
     def test_every_ball_proposal_hits(self, d):
         ball = Ball(radius=0.2, dim=d)
         axis, c = ball.bounding_cap()
-        z = mc._cap_proposals(block_rng(5, 0), axis, c, 20_000)
+        z, _ = mc._cap_proposals(block_rng(5, 0), axis, c, 20_000)
         assert np.all(np.isfinite(ball.contact_scales(z)))
 
     @pytest.mark.parametrize("d", [1, 2, 6])
     def test_ball_block_draws_one_cap_sample(self, d):
         # a ball keeps every cap proposal, so a block draws exactly m cap
-        # directions, then the speeds and drifts
+        # directions, then the speeds and drifts; at d >= 4 a speed is the
+        # direction's own d - 1 normals and one more
         ball, m, seed = Ball(radius=0.3, dim=d), 500, 81
         acc = run_conditional(SimConfig(shape=ball, n=m, seed=seed, sampler="conditional"))
         g = block_rng(seed, 0)
-        z = np.ones((m, 1)) if d == 1 else sample_cap_direction(g, d, ball.cap_cosine, m)
-        t = ball.contact_scales(z) / sample_relative_speed(g, d, m)
+        if d == 6:
+            z, radius2 = mc._cap_rows(g, d, ball.cap_cosine, m)
+            speed = np.sqrt(0.5 * (radius2 + np.square(g.standard_normal(m))))
+        else:
+            z = np.ones((m, 1)) if d == 1 else sample_cap_direction(g, d, ball.cap_cosine, m)
+            speed = sample_relative_speed(g, d, m)
+        t = ball.contact_scales(z) / speed
         drift = g.standard_normal((m, d)) * math.sqrt(0.5)
         np.testing.assert_array_equal(acc.sample_time, t)
         np.testing.assert_array_equal(acc.sample_location, drift * t[:, None])
@@ -273,7 +288,7 @@ class TestShapeProtocol:
         body = _rotated(Ellipsoid.from_semi_axes(center=[-1.0, 0.0, 0.0, 0.0],
                                                  semi_axes=[0.2, 0.3, 0.4, 0.5]), 8)
         axis, c = body.bounding_cap()
-        z = mc._cap_proposals(block_rng(9, 0), axis, c, 20_000)
+        z, _ = mc._cap_proposals(block_rng(9, 0), axis, c, 20_000)
         np.testing.assert_allclose(np.linalg.norm(z, axis=1), 1.0, atol=1e-12)
         assert np.all(z @ axis >= c - 1e-12)
 
@@ -378,6 +393,55 @@ class TestScreenedKernel:
         assert tally.collisions <= sum(solved) < 0.01 * BLOCK
 
 
+def cap_law_p_values(d: int, r: float, seeds, n: int) -> dict:
+    """Per seed, KS p-values of a one-block conditional Ball run at (d, r).
+
+    A ball keeps its first round of cap proposals, so replaying that round
+    gives each trial's direction z, and its speed is the contact scale over
+    the contact time.  Laws checked: z_1 against the exact cap law,
+    P(z_1 >= x) = I_{1-x^2}((d-1)/2, 1/2) / I_{1-c^2}((d-1)/2, 1/2), which
+    keeps its precision as c -> 1; twice the squared speed against
+    chi-square(d); and the speeds on either side of z_1's median against
+    each other, as the speed is independent of the direction.
+    """
+    ball = Ball(radius=r, dim=d)
+    axis, c = ball.bounding_cap()
+    a = 0.5 * (d - 1)
+    mass = scipy.special.betainc(a, 0.5, (1.0 - c) * (1.0 + c))
+
+    def z1_cdf(x):
+        x = np.clip(x, c, 1.0)
+        return 1.0 - scipy.special.betainc(a, 0.5, (1.0 - x) * (1.0 + x)) / mass
+
+    p = {"z1": [], "speed": [], "independence": []}
+    for seed in seeds:
+        acc = run_conditional(SimConfig(shape=ball, n=n, seed=seed, sampler="conditional",
+                                        workers=1))
+        z, _ = mc._cap_proposals(block_rng(seed, 0), axis, c, n)
+        z1 = z @ axis
+        v = ball.contact_scales(z) / acc.sample_time
+        p["z1"].append(scipy.stats.kstest(z1, z1_cdf).pvalue)
+        p["speed"].append(scipy.stats.kstest(2.0 * v * v, scipy.stats.chi2(d).cdf).pvalue)
+        low = z1 < np.median(z1)
+        p["independence"].append(scipy.stats.ks_2samp(v[low], v[~low]).pvalue)
+    return {law: np.array(values) for law, values in p.items()}
+
+
+class TestCapDrawNeutrality:
+    """Second-level test (L'Ecuyer & Simard, TestU01, 2007): over many seeds
+    the p-values of each exact-law check of the d >= 4 cap and speed draws
+    are uniform.  r = 0.9 takes the uniform first-coordinate proposal at
+    d = 4 and Wood's at d = 6; r = 0.3 takes Wood's at both."""
+
+    @pytest.mark.parametrize("r", [0.3, 0.9])
+    @pytest.mark.parametrize("d", [4, 6])
+    def test_p_values_uniform_across_seeds(self, d, r):
+        p = cap_law_p_values(d, r, seeds=range(500, 540), n=2000)
+        for law, values in p.items():
+            second = scipy.stats.kstest(values, "uniform").pvalue
+            assert second >= 1e-3, (law, second, np.sort(values)[:5])
+
+
 class TestDeterminism:
     def test_rerun_identical(self):
         a = run_naive(ball_config(n=30_000, seed=9))
@@ -399,6 +463,26 @@ class TestDeterminism:
             np.testing.assert_array_equal(accs[0].sample_time, other.sample_time)
             np.testing.assert_array_equal(accs[0].sample_location,
                                           other.sample_location)
+
+    def test_refilled_d5_ellipsoid_worker_count_invariance(self, monkeypatch):
+        # a d >= 4 body that misses part of its bounding cap: refill rounds
+        # run, and each kept direction carries its radius to its trial's speed
+        monkeypatch.delenv("COLLIDE_THREADS", raising=False)
+        body = Ellipsoid.from_semi_axes(center=[-1.0, 0.0, 0.0, 0.0, 0.0],
+                                        semi_axes=[0.1, 0.15, 0.2, 0.25, 0.3])
+        solves = []
+        solve = Ellipsoid.contact_scales
+        monkeypatch.setattr(Ellipsoid, "contact_scales",
+                            lambda self, z: solves.append(1) or solve(self, z))
+        n = 9 * BLOCK + 321
+        accs = [run_conditional(SimConfig(shape=body, n=n, seed=12, sampler="conditional",
+                                          workers=w)) for w in (1, 2, 8)]
+        # 10 blocks in each of 3 runs: every solve past a block's first is a refill
+        assert len(solves) > 3 * 10
+        for other in accs[1:]:
+            assert other.trials == other.collisions == n
+            for field in SAMPLE_FIELDS:
+                assert getattr(accs[0], field).tobytes() == getattr(other, field).tobytes()
 
     def test_env_var_overrides_workers(self, monkeypatch):
         monkeypatch.setenv("COLLIDE_THREADS", "2")

@@ -1,10 +1,12 @@
 """Command line interface: formulas, simulation, densities, validation.
 
 Every command prints a single JSON report to stdout with the fields
-command, params, results, seed, elapsed, version; numeric fields are
-reproduced exactly on reruns with the same arguments (elapsed excepted).
-Exit codes: 0 success, 1 validation failure, 2 bad arguments, 3 I/O
-failure.
+command, params, results, seed, elapsed, version; params echoes every
+argument except --seed, which is the seed field (null for commands
+without one).  Numeric fields are reproduced exactly on reruns with the
+same arguments (elapsed excepted).  Exit codes: 0 success, 1 validation
+failure, 2 bad arguments (including a dimension whose values overflow a
+double), 3 I/O failure.
 """
 
 from __future__ import annotations
@@ -27,37 +29,16 @@ _EXIT_USAGE = 2
 _EXIT_IO = 3
 
 
-def _emit(command: str, params: dict, results: dict, seed, started: float) -> None:
-    report = {
-        "command": command,
-        "params": params,
-        "results": results,
-        "seed": seed,
-        "elapsed": time.perf_counter() - started,
-        "version": __version__,
-    }
-    json.dump(report, sys.stdout, indent=2)
-    sys.stdout.write("\n")
-
-
-def _cmd_prob(args) -> int:
-    started = time.perf_counter()
-    params = {"d": args.d, "r": args.r, "method": args.method}
-    results: dict = {"method": args.method}
-    if args.method == "closed":
-        results["p"] = analytic.collision_prob_closed(args.r, args.d)
-    elif args.method == "asymptotic":
+def _cmd_prob(args) -> dict:
+    r = analytic._check_radius(args.r)
+    if args.method == "asymptotic":
         coeff = analytic.asymptotic_prob_coefficient(args.d)
-        results["coefficient"] = coeff
-        results["p"] = coeff * args.r ** (args.d - 1)
-    else:
-        results["p"] = analytic.collision_prob_exact(args.r, args.d)
-    _emit("prob", params, results, None, started)
-    return _EXIT_OK
+        return {"method": args.method, "coefficient": coeff, "p": coeff * r ** (args.d - 1)}
+    prob = analytic.collision_prob_closed if args.method == "closed" else analytic.collision_prob_exact
+    return {"method": args.method, "p": prob(r, args.d)}
 
 
-def _cmd_simulate(args) -> int:
-    started = time.perf_counter()
+def _cmd_simulate(args) -> dict:
     # the report prints only how many samples a run keeping its first --cap
     # collisions holds, min(cap, collisions), so the engine stores none
     config = SimConfig(
@@ -71,29 +52,17 @@ def _cmd_simulate(args) -> int:
     if args.cap < 0:
         raise ValueError(f"--cap must be >= 0, got {args.cap}")
     acc = run(config, dump=args.out)
-    report = proportion_report(acc, seed=args.seed, sampler=args.sampler)
-    params = {
-        "d": args.d, "r": args.r, "n": args.n, "sampler": args.sampler,
-        "workers": args.workers, "cap": args.cap, "out": args.out,
-    }
-    results = report.to_json()
+    results = proportion_report(acc, seed=args.seed, sampler=args.sampler).to_json()
     results["retained_samples"] = min(args.cap, acc.collisions)
-    _emit("simulate", params, results, args.seed, started)
-    return _EXIT_OK
+    return results
 
 
-def _cmd_validate(args) -> int:
-    started = time.perf_counter()
+def _cmd_validate(args) -> dict:
     checks = validation.run_suite(args.suite, alpha=args.alpha, seed=args.seed)
-    all_pass = all(c["pass"] for c in checks)
-    params = {"suite": args.suite, "alpha": args.alpha}
-    results = {"checks": checks, "all_pass": all_pass}
-    _emit("validate", params, results, args.seed, started)
-    return _EXIT_OK if all_pass else _EXIT_VALIDATION
+    return {"checks": checks, "all_pass": all(c["pass"] for c in checks)}
 
 
-def _cmd_density(args) -> int:
-    started = time.perf_counter()
+def _cmd_density(args) -> dict:
     if not 0.0 < args.rmax < math.inf:
         raise ValueError(f"--rmax must be positive and finite, got {args.rmax}")
     if args.points < 2:
@@ -112,36 +81,14 @@ def _cmd_density(args) -> int:
         fh.write("x_norm,density\n")
         for s, v in zip(grid, values):
             fh.write(f"{s:.17g},{v:.17g}\n")
-    params = {"d": args.d, "mode": args.mode, "rmax": args.rmax,
-              "points": args.points, "out": args.out}
-    results = {"coefficient_at_zero": coeff, "rows": len(values)}
-    _emit("density", params, results, None, started)
-    return _EXIT_OK
+    return {"coefficient_at_zero": coeff, "rows": len(values)}
 
 
-def _exact_coefficient_string(d: int) -> str:
-    """Location coefficient as an exact integer over a power of pi."""
-    k = d // 2 + 1
-    if d % 2 == 1:
-        num, rem = divmod(math.factorial(d - 1), 2 * math.factorial((d - 1) // 2))
-    else:
-        num, rem = divmod(4 ** (d // 2) * math.factorial(d // 2), 2 * d)
-    if rem:
-        raise ValueError(f"coefficient for d={d} is not an integer over pi^{k}")
-    return f"{num}/pi^{k}"
-
-
-def _cmd_table(args) -> int:
-    started = time.perf_counter()
-    rows = []
-    for d in range(2, 12):
-        rows.append({
-            "d": d,
-            "exact": _exact_coefficient_string(d),
-            "coefficient": analytic.location_coefficient(d),
-        })
-    _emit("table", {}, {"rows": rows}, None, started)
-    return _EXIT_OK
+def _cmd_table(args) -> dict:
+    return {"rows": [
+        {"d": d, "exact": f"{num}/pi^{k}", "coefficient": analytic.location_coefficient(d)}
+        for d, (num, k) in validation._COEFF_TABLE.items()
+    ]}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -200,14 +147,26 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 0 for --help/--version and 2 for usage errors
         return int(exc.code or 0)
+    started = time.perf_counter()
     try:
-        return args.fn(args)
-    except ValueError as exc:
+        results = args.fn(args)
+        report = {
+            "command": args.command,
+            "params": {k: v for k, v in vars(args).items() if k not in ("command", "fn", "seed")},
+            "results": results,
+            "seed": getattr(args, "seed", None),
+            "elapsed": time.perf_counter() - started,
+            "version": __version__,
+        }
+        json.dump(report, sys.stdout, indent=2)
+        sys.stdout.write("\n")
+    except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return _EXIT_IO
+    return _EXIT_OK if results.get("all_pass", True) else _EXIT_VALIDATION
 
 
 def entry() -> None:

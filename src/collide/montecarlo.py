@@ -255,6 +255,9 @@ def _cap_rows(rng: np.random.Generator, d: int, c: float, m: int) -> tuple[np.nd
 def sample_cap_direction(rng: np.random.Generator, d: int, c: float, size: int) -> np.ndarray:
     """Uniform direction on the spherical cap {z on S^(d-1) : z_1 >= c}.
 
+    c = 1 is the point cap e1, which a ball's cap cosine rounds to below
+    a radius of about 1e-8; its rows take the same draws as any other c.
+
     d = 2 draws the polar angle uniformly on [-arccos c, arccos c];
     d = 3 uses the exact uniformity of the first coordinate on [c, 1];
     d >= 4 draws w = 1 - z_1^2 by Wood's rejection sampler, which
@@ -268,8 +271,8 @@ def sample_cap_direction(rng: np.random.Generator, d: int, c: float, size: int) 
     if d < 2:
         raise ValueError(f"cap sampling needs d >= 2, got {d}")
     c = float(c)
-    if math.isnan(c) or not 0.0 < c < 1.0:
-        raise ValueError(f"cap cosine must lie in (0, 1), got {c}")
+    if not 0.0 < c <= 1.0:  # NaN fails too
+        raise ValueError(f"cap cosine must lie in (0, 1], got {c}")
     m = _require_int("size", size)
     if m < 1:
         raise ValueError(f"size must be >= 1, got {size}")

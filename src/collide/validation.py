@@ -21,6 +21,7 @@ from .rng import block_rng, check_seed, offset_seed
 
 __all__ = ["SUITES", "run_suite", "suite_analytic", "suite_mc", "suite_location", "suite_rotation"]
 
+# location_coefficient(d) in closed form, num / pi^k by d; `collide table` prints these
 _COEFF_TABLE = {
     2: (1, 2), 3: (1, 2), 4: (4, 3), 5: (6, 3), 6: (32, 4),
     7: (60, 4), 8: (384, 5), 9: (840, 5), 10: (6144, 6), 11: (15120, 6),
@@ -124,21 +125,20 @@ def _solver_agreement_check(d: int, r: float, pairs: int, seed: int) -> dict:
     # NaN gap, which fails the check.
     shape = Ball(radius=r, dim=d)
     g = block_rng(seed, 0)
-    rows, found = [], 0
+    rows, times, found = [], [], 0
     while found < pairs:
         v = g.standard_normal((4096, 2 * d))
-        rows.append(v[_hits(shape, v)[0]][:pairs - found])
+        hit, t_hit = _hits(shape, v)
+        rows.append(v[hit][:pairs - found])
+        times.append(t_hit[:pairs - found])
         found += len(rows[-1])
-    v = np.concatenate(rows)
+    v, kernel = np.concatenate(rows), np.concatenate(times)
     t, drift = np.empty(pairs), np.empty((pairs, d))
     for i, row in enumerate(v):
         pair = VelocityPair(row[:d], row[d:])
         t_row = collision_time(pair, r)
         t[i] = np.nan if t_row is None else t_row
         drift[i] = com_split(pair).v_mean
-    hit, times = _hits(shape, v)
-    kernel = np.full(pairs, np.inf)  # a row the kernel now misses reads as an infinite gap
-    kernel[hit] = times
     worst_t = float(np.max(np.abs(t - kernel)))
     c = 0.5 * (v[:, :d] + v[:, d:]) * t[:, None]
     worst_c = float(np.max(np.abs(c - drift * t[:, None])))

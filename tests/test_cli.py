@@ -18,10 +18,16 @@ from collide.cli import main
 ENVELOPE_KEYS = {"command", "params", "results", "seed", "elapsed", "version"}
 
 
+def _refuse_constant(name):
+    raise ValueError(f"report holds {name}, which is not JSON")
+
+
 def run_cli(capsys, *args):
     code = main(list(args))
     out = capsys.readouterr().out
-    return code, (json.loads(out) if out.strip().startswith("{") else out)
+    if out.strip().startswith("{"):
+        return code, json.loads(out, parse_constant=_refuse_constant)
+    return code, out
 
 
 class TestProb:
@@ -59,6 +65,14 @@ class TestProb:
 
     def test_bad_radius_exits_2(self, capsys):
         assert main(["prob", "--d", "2", "--r", "1.5"]) == 2
+
+    @pytest.mark.parametrize("method", ["exact", "closed", "asymptotic"])
+    @pytest.mark.parametrize("r", ["5", "-1", "0", "nan", "inf"])
+    def test_radius_outside_unit_interval_exits_2(self, capsys, method, r):
+        assert main(["prob", "--d", "2", f"--r={r}", "--method", method]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: radius")
 
     def test_closed_high_dimension_exits_2(self, capsys):
         assert main(["prob", "--d", "4", "--r", "0.5", "--method", "closed"]) == 2
@@ -310,6 +324,14 @@ class TestDensity:
         assert main(["density", "--d", "2", "--rmax", rmax,
                      "--out", str(tmp_path / "x.csv")]) == 2
         assert "--rmax" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["limit", "conditional"])
+    def test_overflowing_dimension_exits_2(self, capsys, tmp_path, mode):
+        # the density's constants at d = 400 exceed a double
+        out = tmp_path / "x.csv"
+        assert main(["density", "--d", "400", "--mode", mode, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
 
 class TestTable:

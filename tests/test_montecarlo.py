@@ -130,8 +130,10 @@ class TestElementarySamplers:
             sample_cap_direction(g, 1, 0.5, size=10)
         with pytest.raises(ValueError):
             sample_cap_direction(g, 2, 0.0, size=10)
+        # c = 1 is the point cap e1; a cosine above 1 is refused
+        np.testing.assert_array_equal(sample_cap_direction(g, 2, 1.0, size=3), np.eye(2)[[0, 0, 0]])
         with pytest.raises(ValueError):
-            sample_cap_direction(g, 2, 1.0, size=10)
+            sample_cap_direction(g, 2, 1.0000000000000002, size=10)
         with pytest.raises(ValueError):
             sample_cap_direction(g, 2, 0.5, size=0)
         # a fractional dimension or size is refused, not truncated
@@ -166,6 +168,15 @@ class TestEngines:
         assert np.all(np.isfinite(acc.sample_time))
         assert np.all(acc.sample_time > 0.0)
         assert acc.location_samples.shape == (cfg.n, 2)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_conditional_tiny_radius_runs(self, d):
+        # below r ~ 1.05e-8 the ball's cap cosine rounds to 1: the point cap e1
+        shape = Ball(radius=1e-9, dim=d)
+        assert shape.cap_cosine == 1.0
+        acc = run_conditional(SimConfig(shape=shape, n=20_000, seed=4, sampler="conditional"))
+        assert acc.collisions == acc.trials == 20_000
+        assert np.all(np.isfinite(acc.sample_time))
 
     def test_sampler_config_guard(self):
         with pytest.raises(ValueError):

@@ -67,16 +67,24 @@ def _cmd_density(args) -> dict:
         raise ValueError(f"--rmax must be positive and finite, got {args.rmax}")
     if args.points < 2:
         raise ValueError(f"--points must be >= 2, got {args.points}")
-    if args.mode == "limit":
-        coeff = analytic.location_coefficient(args.d)
-        density = analytic.location_density_limit
-    else:
-        coeff = analytic.conditional_location_density(np.zeros(args.d), args.d)
-        density = analytic.conditional_location_density
+    try:
+        if args.mode == "limit":
+            coeff = analytic.location_coefficient(args.d)
+            density = analytic.location_density_limit
+        else:
+            coeff = analytic.conditional_location_density(np.zeros(args.d), args.d)
+            density = analytic.conditional_location_density
+    except OverflowError:
+        raise ValueError(f"--d {args.d} is too large: the density's normalizing "
+                         f"constant overflows a double") from None
     grid = np.linspace(0.0, args.rmax, args.points)
     points = np.zeros((args.points, args.d))
     points[:, 0] = grid
-    values = density(points, args.d)
+    try:
+        values = density(points, args.d)
+    except OverflowError:
+        raise ValueError(f"--d {args.d} with --rmax {args.rmax:g} overflows a double: "
+                         f"(1 + rmax^2)^d at the grid's end is too large") from None
     with open(args.out, "w", newline="") as fh:
         fh.write("x_norm,density\n")
         for s, v in zip(grid, values):

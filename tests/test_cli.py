@@ -333,6 +333,22 @@ class TestDensity:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, names", [
+        # the grid's (1 + rmax^2)^d overflows in the limit density's kernel
+        (["--d", "218", "--mode", "limit"], ("--d", "--rmax")),
+        (["--d", "100", "--mode", "limit", "--rmax", "1e3"], ("--d", "--rmax")),
+        # the normalizing constant overflows whatever the grid
+        (["--d", "269"], ("--d",)),
+        (["--d", "400"], ("--d",)),
+    ])
+    def test_overflow_message_names_the_parameter(self, capsys, tmp_path, argv, names):
+        out = tmp_path / "x.csv"
+        assert main(["density", *argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert all(name in err for name in names), err
+        assert not out.exists()
+
 
 class TestTable:
     def test_rows(self, capsys):

@@ -1,5 +1,6 @@
-"""The package's runtime dependencies (numpy and the standard library only)
-and its public surface (no name that nothing needs)."""
+"""The package's runtime dependencies (numpy and the standard library only),
+two measured costs it keeps out of the CLI, and its public surface (no name
+that nothing needs)."""
 
 import os
 import re
@@ -7,7 +8,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import collide
+from collide.validation import suite_analytic
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -30,6 +34,27 @@ def test_import_loads_numpy_and_stdlib_only():
     assert {"collide", "numpy"} <= loaded
     foreign = loaded - {"collide", "numpy"} - set(sys.stdlib_module_names)
     assert not foreign, f"importing collide loads non-stdlib modules: {sorted(foreign)}"
+
+
+def test_cli_import_leaves_numpy_polynomial_unloaded():
+    # numpy.polynomial costs about 4 ms to import, which a one-shot CLI call
+    # would pay; the package's quadrature rule is built without it
+    probe = "import sys, collide.cli; print('numpy.polynomial' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH="src")
+    out = subprocess.run([sys.executable, "-c", probe], cwd=ROOT, env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"
+
+
+def test_analytic_suite_calls_no_eigensolver(monkeypatch):
+    # an eigensolver call wakes the BLAS worker threads, which slows the
+    # suites that run after it
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigensolver called")
+
+    for name in ("eigh", "eigvalsh", "eig"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    assert all(c["pass"] for c in suite_analytic())
 
 
 # The files a public name may be needed by: the README, the CLI, the code

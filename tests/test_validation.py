@@ -1,10 +1,13 @@
-"""Validation suites: all green at defaults, and mutation sanity."""
+"""Validation suites: all green at defaults, mutation sanity, and the quadrature rule."""
 
+import numpy as np
 import pytest
 
 import collide.analytic
 import collide.validation
-from collide.validation import SUITES, _solver_agreement_check, run_suite, suite_analytic
+from collide.validation import (
+    SUITES, _gauss_legendre, _solver_agreement_check, run_suite, suite_analytic,
+)
 
 
 def names(checks):
@@ -76,6 +79,18 @@ class TestMutationSanity:
         table = next(c for c in checks if c["name"] == "location_coefficient_table")
         assert not table["pass"]
 
+    @pytest.mark.parametrize("mutation", [
+        lambda x, d, f: f(x, d) * (1.0 + 1e-5),
+        lambda x, d, f: f(x, d) * (1.0 + np.sum(np.square(x), axis=-1)) ** -0.01,
+    ], ids=["scaled", "lighter_tail"])
+    def test_broken_density_detected(self, monkeypatch, mutation):
+        real = collide.analytic.conditional_location_density
+        monkeypatch.setattr(collide.analytic, "conditional_location_density",
+                            lambda x, d: mutation(x, d, real))
+        checks = suite_analytic()
+        norm = next(c for c in checks if c["name"] == "conditional_density_normalization")
+        assert not norm["pass"], norm["detail"]
+
     def test_broken_probability_detected(self, monkeypatch):
         real = collide.analytic.collision_prob_closed
         monkeypatch.setattr(collide.analytic, "collision_prob_closed",
@@ -105,3 +120,25 @@ class TestMutationSanity:
         assert len(calls) == 200
         assert not check["pass"]
         assert "nan" in check["detail"]
+
+
+class TestGaussLegendre:
+    @pytest.mark.parametrize("n", [1, 2, 5, 20, 64])
+    def test_matches_numpy_rule(self, n):
+        from numpy.polynomial.legendre import leggauss
+
+        nodes, weights = _gauss_legendre(n)
+        want_nodes, want_weights = leggauss(n)
+        np.testing.assert_allclose(nodes, want_nodes, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(weights, want_weights, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 20, 64])
+    def test_weights_sum_to_two(self, n):
+        assert abs(_gauss_legendre(n)[1].sum() - 2.0) <= 1e-14
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 20, 64])
+    def test_exact_for_degree_below_2n(self, n):
+        nodes, weights = _gauss_legendre(n)
+        for k in range(2 * n):
+            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            assert abs((weights * nodes ** k).sum() - exact) <= 1e-14, k

@@ -74,7 +74,21 @@ def _kernel_power(nsq, exponent: int):
     numpy build and of how many points one call evaluates.
     """
     base = np.asarray(1.0 + nsq, dtype=float)
-    return np.array([b ** exponent for b in base.ravel().tolist()]).reshape(base.shape)
+    try:
+        return np.array([b ** exponent for b in base.ravel().tolist()]).reshape(base.shape)
+    except OverflowError:
+        # only a positive exponent, d, overflows; the largest |x| does first
+        raise OverflowError(f"d = {exponent} is too large at |x| = {math.sqrt(np.max(nsq)):g}: "
+                            f"(1 + |x|^2)^d overflows a double") from None
+
+
+def _normalizer(log_value: float, d: int) -> float:
+    """exp(log_value) for a normalizing constant in dimension d; an overflow names d."""
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        raise OverflowError(f"d = {d} is too large: the density's normalizing "
+                            f"constant overflows a double") from None
 
 
 def collision_prob_exact(r, d: int):
@@ -123,7 +137,7 @@ def asymptotic_prob_coefficient(d: int) -> float:
 def location_coefficient(d: int) -> float:
     """Normalizing constant of the defective limit location density."""
     d = _check_dim(d)
-    ratio = math.exp(log_gamma(float(d)) - log_gamma(0.5 * (d + 1)))
+    ratio = _normalizer(log_gamma(float(d)) - log_gamma(0.5 * (d + 1)), d)
     return 0.5 * math.pi ** (-0.5 * (d + 1)) * ratio
 
 
@@ -148,7 +162,7 @@ def conditional_location_density(x, d: int):
     in the small-radius limit; x as in ``location_density_limit``."""
     d = _check_dim(d)
     nsq = _norm_sq(x, d)
-    ratio = math.exp(log_gamma(float(d)) - log_gamma(0.5 * d))
+    ratio = _normalizer(log_gamma(float(d)) - log_gamma(0.5 * d), d)
     return _float_or_array(ratio * math.pi ** (-0.5 * d) * _kernel_power(nsq, -d))
 
 

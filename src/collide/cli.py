@@ -6,7 +6,7 @@ argument except --seed, which is the seed field (null for commands
 without one).  Numeric fields are reproduced exactly on reruns with the
 same arguments (elapsed excepted).  Exit codes: 0 success, 1 validation
 failure, 2 bad arguments (including a dimension whose values overflow a
-double), 3 I/O failure.
+double and an allocation the machine refuses), 3 I/O failure.
 """
 
 from __future__ import annotations
@@ -121,7 +121,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sampler", choices=("naive", "conditional"), default="naive")
     p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     p.add_argument("--workers", type=int, default=0,
-                   help="worker threads; 0 = machine parallelism; COLLIDE_THREADS overrides")
+                   help="worker threads; 0 = the CPUs this process may use")
     p.add_argument("--cap", type=int, default=DEFAULT_SAMPLE_CAP,
                    help="retained_samples is min(CAP, successes), what a library run keeping "
                         "its first CAP collisions holds (default 10^6); simulate keeps none")
@@ -168,8 +168,9 @@ def main(argv=None) -> int:
         }
         json.dump(report, sys.stdout, indent=2)
         sys.stdout.write("\n")
-    except (ValueError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OverflowError, MemoryError) as exc:
+        # a MemoryError may carry no message
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return _EXIT_USAGE
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

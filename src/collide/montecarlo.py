@@ -89,11 +89,9 @@ DEFAULT_SAMPLE_CAP = 1_000_000
 class SimConfig:
     """One simulation run: body shape, trial count, seed, engine choice.
 
-    workers = 0 means machine parallelism; any value is superseded by
-    the COLLIDE_THREADS environment variable when that is set, and no
-    more threads than blocks, or than 8 per CPU, are started.  The worker
-    count never affects results, only wall time.  The seed lies in
-    [0, 2**64).
+    workers = 0 means the CPUs this process may use; no more threads than
+    blocks, or than 8 per CPU, are started.  The worker count never
+    affects results, only wall time.  The seed lies in [0, 2**64).
     """
 
     shape: ShapeOracle
@@ -415,22 +413,11 @@ def _conditional_block(config: SimConfig, span: tuple[int, int, int]) -> Accumul
 
 
 def _resolve_workers(requested: int, blocks: int) -> int:
-    """Worker threads for a run of ``blocks`` blocks: COLLIDE_THREADS if
-    set, else the request, else the CPU count, never more than blocks or
-    8 per CPU."""
-    env = os.environ.get("COLLIDE_THREADS")
-    if env is not None:
-        try:
-            value = int(env)
-        except ValueError:
-            raise ValueError(f"COLLIDE_THREADS must be an integer, got {env!r}") from None
-        if value < 1:
-            raise ValueError(f"COLLIDE_THREADS must be >= 1, got {value}")
-    elif requested > 0:
-        value = requested
-    else:
-        value = os.cpu_count() or 1
-    return min(value, blocks, 8 * (os.cpu_count() or 1))
+    """Worker threads for a run of ``blocks`` blocks: the request, or for 0
+    the CPUs this process may use, never more than blocks or 8 per CPU."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return min(requested or cpus, blocks, 8 * cpus)
 
 
 def _block_outputs(config: SimConfig, block_fn, spans, workers: int):

@@ -17,7 +17,7 @@ import numpy as np
 from . import analytic, stats
 from .geometry import Ball, Ellipsoid, VelocityPair, collision_time, com_split
 from .montecarlo import SimConfig, _hits, run_conditional, run_naive
-from .rng import block_rng, check_seed, offset_seed
+from .rng import BLOCK, block_rng, check_seed, offset_seed
 
 __all__ = ["SUITES", "run_suite", "suite_analytic", "suite_mc", "suite_location", "suite_rotation"]
 
@@ -200,17 +200,13 @@ def _consistency_check(seed: int) -> dict:
 
 def _determinism_check(seed: int) -> dict:
     shape = Ball(radius=0.4, dim=2)
+    # 8 blocks, so the workers=8 run is not clamped to fewer threads
     accs = [
-        run_naive(SimConfig(shape=shape, n=50_000, seed=seed, workers=w))
+        run_naive(SimConfig(shape=shape, n=8 * BLOCK, seed=seed, workers=w))
         for w in (1, 8)
     ]
-    same = (
-        accs[0].trials == accs[1].trials
-        and accs[0].collisions == accs[1].collisions
-        and np.array_equal(accs[0].sample_trial, accs[1].sample_trial)
-        and np.array_equal(accs[0].sample_time, accs[1].sample_time)
-        and np.array_equal(accs[0].sample_location, accs[1].sample_location)
-    )
+    same = all(np.array_equal(getattr(accs[0], f), getattr(accs[1], f)) for f in (
+        "trials", "collisions", "sample_trial", "sample_time", "sample_location"))
     return _check("worker_count_determinism", same,
                   "accumulators bit-identical for workers=1 and workers=8"
                   if same else "accumulators differ between worker counts")

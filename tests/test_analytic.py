@@ -206,6 +206,21 @@ class TestDensities:
             assert ratios[1] == pytest.approx(ratios[2], rel=1e-12)
 
 
+    @pytest.mark.parametrize("call, message", [
+        # (1 + 25)^218 is past the largest double, though the constant is not
+        (lambda: location_density_limit(np.eye(218)[0] * 5.0, 218),
+         "d = 218 is too large at |x| = 5: (1 + |x|^2)^d overflows a double"),
+        (lambda: conditional_location_density(np.zeros(269), 269),
+         "d = 269 is too large: the density's normalizing constant overflows a double"),
+        (lambda: location_coefficient(270),
+         "d = 270 is too large: the density's normalizing constant overflows a double"),
+    ], ids=["limit_kernel", "conditional_constant", "coefficient"])
+    def test_overflow_names_the_dimension(self, call, message):
+        with pytest.raises(OverflowError) as info:
+            call()
+        assert str(info.value) == message
+
+
 class TestRadialCdf:
     def test_bounds_and_median(self):
         for d in (1, 2, 3, 5):

@@ -138,16 +138,28 @@ class TestSimulate:
             reports.append(rep)
         assert reports[0] == reports[1]
 
-    def test_env_var_overrides_flag(self, capsys, monkeypatch):
-        monkeypatch.setenv("COLLIDE_THREADS", "junk")
-        # the env var is consulted even when --workers is given, so a bad
-        # value must surface as an argument error
-        assert main(["simulate", "--d", "2", "--r", "0.5", "--n", "1000",
-                     "--workers", "2"]) == 2
-
     def test_unwritable_out_exits_3(self, capsys):
         assert main(["simulate", "--d", "2", "--r", "0.5", "--n", "1000",
                      "--out", "/nonexistent-dir/x.csv"]) == 3
+
+    @pytest.mark.parametrize("sampler", ["naive", "conditional"])
+    def test_refused_allocation_exits_2(self, capsys, sampler):
+        # a block's normals at d = 10^15 take 7.11 PiB or more, past the
+        # 128 TiB a process can address; no --out, whose header would list
+        # 10^15 column names before the first block runs
+        assert main(["simulate", "--sampler", sampler, "--d", str(10**15), "--r", "0.5",
+                     "--n", "10", "--workers", "1"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+
+    def test_bare_memory_error_is_named(self, capsys, monkeypatch):
+        # a MemoryError raised by Python itself carries no message
+        def refuse(config, dump=None):
+            raise MemoryError
+
+        monkeypatch.setattr(collide.cli, "run", refuse)
+        assert main(["simulate", "--d", "2", "--r", "0.5", "--n", "100"]) == 2
+        assert capsys.readouterr().err == "error: MemoryError\n"
 
     def test_bad_n_exits_2(self, capsys):
         assert main(["simulate", "--d", "2", "--r", "0.5", "--n", "0"]) == 2
@@ -166,7 +178,6 @@ class TestSimulate:
         # the engine keeps no samples for the CLI; the reported number is what
         # a library run with sample_cap=--cap keeps, its first hits in trial
         # order (tests/test_montecarlo.py holds those to the dump's first hits)
-        monkeypatch.delenv("COLLIDE_THREADS", raising=False)
         configs = []
 
         def recording_run(config, dump=None):
@@ -187,11 +198,10 @@ class TestSimulate:
                 == library.sample_trial.size
         assert len(configs) == 3
 
-    def test_peak_memory_independent_of_cap(self, monkeypatch):
+    def test_peak_memory_independent_of_cap(self):
         # the report prints only counts, so a default-cap run holds no more
         # than a --cap 0 one: at 2e5 conditional d = 6 trials, a store for
         # every hit would add 12.8 MB to a traced peak of a few MB
-        monkeypatch.delenv("COLLIDE_THREADS", raising=False)
         argv = ["simulate", "--sampler", "conditional", "--d", "6", "--r", "0.1",
                 "--n", "200000", "--workers", "1"]
 
@@ -225,8 +235,7 @@ GOLDEN_SIMULATE_CSV = {
 class TestGoldenOutput:
     @pytest.mark.parametrize("workers", ["1", "2"])
     @pytest.mark.parametrize("sampler, d", sorted(GOLDEN_SIMULATE_CSV))
-    def test_simulate_csv_digest(self, tmp_path, capsys, monkeypatch, sampler, d, workers):
-        monkeypatch.delenv("COLLIDE_THREADS", raising=False)
+    def test_simulate_csv_digest(self, tmp_path, capsys, sampler, d, workers):
         out = tmp_path / "samples.csv"
         assert main(["simulate", "--sampler", sampler, "--d", str(d), "--r", "0.3",
                      "--n", "20000", "--seed", "7", "--workers", workers,
@@ -347,6 +356,15 @@ class TestDensity:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert all(name in err for name in names), err
+        assert not out.exists()
+
+    def test_refused_grid_allocation_exits_2(self, capsys, tmp_path):
+        # a 7.11 PiB grid: past the 128 TiB a process can address, so no
+        # overcommit setting grants it
+        out = tmp_path / "x.csv"
+        assert main(["density", "--d", "2", "--points", str(10**15), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
         assert not out.exists()
 
 

@@ -478,7 +478,6 @@ class TestDeterminism:
     def test_refilled_d5_ellipsoid_worker_count_invariance(self, monkeypatch):
         # a d >= 4 body that misses part of its bounding cap: refill rounds
         # run, and each kept direction carries its radius to its trial's speed
-        monkeypatch.delenv("COLLIDE_THREADS", raising=False)
         body = Ellipsoid.from_semi_axes(center=[-1.0, 0.0, 0.0, 0.0, 0.0],
                                         semi_axes=[0.1, 0.15, 0.2, 0.25, 0.3])
         solves = []
@@ -495,44 +494,44 @@ class TestDeterminism:
             for field in SAMPLE_FIELDS:
                 assert getattr(accs[0], field).tobytes() == getattr(other, field).tobytes()
 
-    def test_env_var_overrides_workers(self, monkeypatch):
-        monkeypatch.setenv("COLLIDE_THREADS", "2")
-        a = run_naive(ball_config(n=20_000, seed=11, workers=7))
-        monkeypatch.delenv("COLLIDE_THREADS")
-        b = run_naive(ball_config(n=20_000, seed=11, workers=1))
-        np.testing.assert_array_equal(a.sample_time, b.sample_time)
+    def test_environment_does_not_set_workers(self, monkeypatch):
+        # the worker count comes from SimConfig.workers alone
+        seen = []
+        block_outputs = mc._block_outputs
+        monkeypatch.setattr(mc, "_block_outputs", lambda config, fn, spans, workers:
+                            seen.append(workers) or block_outputs(config, fn, spans, workers))
+        for value in ("junk", "2"):
+            monkeypatch.setenv("COLLIDE_THREADS", value)
+            accs = [run_naive(ball_config(n=8 * BLOCK, seed=11, workers=w)) for w in (1, 8)]
+            np.testing.assert_array_equal(accs[0].sample_time, accs[1].sample_time)
+        assert seen == [1, 8, 1, 8]
 
-    def test_workers_clamped_to_blocks(self, monkeypatch):
+    def test_workers_zero_follows_cpu_affinity(self, monkeypatch):
         # checked on the resolved count; no thread is started
-        monkeypatch.delenv("COLLIDE_THREADS", raising=False)
+        monkeypatch.setattr(mc.os, "cpu_count", lambda: 64)
+        for cpus in ({0}, {0, 2, 5}):
+            monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: cpus, raising=False)
+            assert mc._resolve_workers(0, 10**6) == len(cpus)
+
+    def test_workers_clamped_to_blocks(self):
+        # checked on the resolved count; no thread is started
         assert mc._resolve_workers(10**9, 3) == 3
         assert mc._resolve_workers(2, 3) == 2
         assert 1 <= mc._resolve_workers(0, 3) <= 3
-        monkeypatch.setenv("COLLIDE_THREADS", str(10**9))
-        assert mc._resolve_workers(1, 3) == 3
 
     def test_workers_clamped_per_cpu(self, monkeypatch):
         # checked on the resolved count; no thread is started
-        monkeypatch.delenv("COLLIDE_THREADS", raising=False)
-        monkeypatch.setattr(mc.os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {0}, raising=False)
         assert mc._resolve_workers(100_000, 10**6) == 8
         assert mc._resolve_workers(8, 10**6) == 8
         assert mc._resolve_workers(3, 10**6) == 3
+        # without an affinity mask the CPU count decides, and 1 if unknown
+        monkeypatch.delattr(mc.os, "sched_getaffinity")
         monkeypatch.setattr(mc.os, "cpu_count", lambda: None)
         assert mc._resolve_workers(100_000, 10**6) == 8
-        monkeypatch.setattr(mc.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
         assert mc._resolve_workers(100_000, 10**6) == 32
         assert mc._resolve_workers(100_000, 5) == 5
-        monkeypatch.setenv("COLLIDE_THREADS", "100000")
-        assert mc._resolve_workers(1, 10**6) == 32
-
-    def test_env_var_validation(self, monkeypatch):
-        monkeypatch.setenv("COLLIDE_THREADS", "zero")
-        with pytest.raises(ValueError):
-            run_naive(ball_config(n=1_000, seed=0))
-        monkeypatch.setenv("COLLIDE_THREADS", "0")
-        with pytest.raises(ValueError):
-            run_naive(ball_config(n=1_000, seed=0))
 
     def test_block_prefix_stability(self, tmp_path):
         # a trial's velocities depend only on (seed, block, offset), so a
@@ -548,10 +547,9 @@ class TestDeterminism:
 
 
 class TestRetention:
-    def test_cap_keeps_first_collisions_in_trial_order(self, monkeypatch):
+    def test_cap_keeps_first_collisions_in_trial_order(self):
         # a capped run keeps its cap lowest-indexed collisions, the uncapped
         # run's first cap rows
-        monkeypatch.delenv("COLLIDE_THREADS", raising=False)
         for sampler, workers in itertools.product(("naive", "conditional"), (1, 2)):
             def config(**kw):
                 return ball_config(n=3 * BLOCK + 5, seed=21, sampler=sampler,
@@ -568,8 +566,7 @@ class TestRetention:
                         err_msg=f"{sampler} sampler, {workers} workers, cap {cap}")
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_retained_samples_are_first_hits_of_dump(self, tmp_path, monkeypatch, workers):
-        monkeypatch.delenv("COLLIDE_THREADS", raising=False)
+    def test_retained_samples_are_first_hits_of_dump(self, tmp_path, workers):
         out = tmp_path / "samples.csv"
         acc = run_naive(ball_config(shape=Ball(radius=0.4, dim=2), n=30_000, seed=11,
                                     workers=workers, sample_cap=500), dump=out)
@@ -595,8 +592,7 @@ class TestStreamedDrive:
     @pytest.mark.parametrize("block_fn", [mc._naive_block, mc._conditional_block])
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("cap", [0, 1, 1000, 10**6])
-    def test_fold_equals_one_merge(self, monkeypatch, block_fn, workers, cap):
-        monkeypatch.delenv("COLLIDE_THREADS", raising=False)
+    def test_fold_equals_one_merge(self, block_fn, workers, cap):
         sampler = "naive" if block_fn is mc._naive_block else "conditional"
         cfg = ball_config(n=10 * BLOCK + 123, seed=25, sampler=sampler,
                           workers=workers, sample_cap=cap)
@@ -622,8 +618,7 @@ class TestStreamedDrive:
             block_spans(-1)
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_failing_block_stops_the_run(self, monkeypatch, workers):
-        monkeypatch.delenv("COLLIDE_THREADS", raising=False)
+    def test_failing_block_stops_the_run(self, workers):
         started, threads = [], set()
 
         def block_fn(config, span):
@@ -660,7 +655,6 @@ class TestStreamedDrive:
         # to the file as raw columns: traced, the CSV writer's per-row strings
         # take about 10x its untraced second for these 590k rows, and its
         # memory is one block's lines whatever n is.
-        monkeypatch.delenv("COLLIDE_THREADS", raising=False)
 
         def raw_sink(path, dim, tallies):
             with open(path, "wb") as fh:
@@ -707,11 +701,9 @@ class TestSampleStore:
 
     @pytest.mark.parametrize("block_fn", [mc._naive_block, mc._conditional_block])
     @pytest.mark.parametrize("cap_offset", [-1, 0, 1])
-    def test_repeated_compaction_at_block_collision_count(self, monkeypatch, block_fn,
-                                                          cap_offset):
+    def test_repeated_compaction_at_block_collision_count(self, block_fn, cap_offset):
         # a cap one row short of, at and one row past the first block's
         # collisions, with 40 more blocks that only add to the counts
-        monkeypatch.delenv("COLLIDE_THREADS", raising=False)
         sampler = "naive" if block_fn is mc._naive_block else "conditional"
         probe = ball_config(n=BLOCK, seed=28, sampler=sampler)
         per_block = block_fn(probe, next(block_spans(BLOCK))).collisions
@@ -722,8 +714,7 @@ class TestSampleStore:
         assert (got.sample_trial[-1] >= BLOCK) == (cap_offset > 0)
 
     @pytest.mark.parametrize("cap", [1, 2, 7, 100])
-    def test_small_caps_compact_many_times(self, monkeypatch, cap):
-        monkeypatch.delenv("COLLIDE_THREADS", raising=False)
+    def test_small_caps_compact_many_times(self, cap):
         cfg = ball_config(n=40 * BLOCK + 77, seed=29, workers=2, sample_cap=cap)
         self._assert_fold_equals_prefix(cfg, mc._naive_block)
 
@@ -770,7 +761,6 @@ class TestSampleStore:
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [str(pathlib.Path(mc.__file__).parents[1])] +
             [p for p in [os.environ.get("PYTHONPATH")] if p]))
-        env.pop("COLLIDE_THREADS", None)
         done = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                               capture_output=True, text=True)
         growth, kept = map(int, done.stdout.split())
@@ -813,7 +803,6 @@ class TestSampleStore:
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [str(pathlib.Path(mc.__file__).parents[1])] +
             [p for p in [os.environ.get("PYTHONPATH")] if p]))
-        env.pop("COLLIDE_THREADS", None)
         done = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                               capture_output=True, text=True)
         repeated, kept, sparse, hits = map(int, done.stdout.split())

@@ -1,6 +1,6 @@
 """The package's runtime dependencies (numpy and the standard library only),
-two measured costs it keeps out of the CLI, and its public surface (no name
-that nothing needs)."""
+two measured costs it keeps out of the CLI, its public surface (no name
+that nothing needs) and its settings (arguments only, no environment)."""
 
 import os
 import re
@@ -70,3 +70,10 @@ def test_every_public_name_is_needed():
     unused = [name for name in collide.__all__ if name not in _RETURN_TYPES
               and not re.search(rf"\b{re.escape(name)}\b", text)]
     assert not unused, f"public names nothing needs: {unused}"
+
+
+def test_no_module_reads_the_environment():
+    # every setting is an argument, so a run is described by its command line
+    readers = [path.name for path in sorted((ROOT / "src/collide").glob("*.py"))
+               if re.search(r"\b(environb?|getenvb?)\b", path.read_text())]
+    assert not readers, f"modules that read the environment: {readers}"

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 import collide.analytic
+import collide.montecarlo
 import collide.validation
 from collide.validation import (
-    SUITES, _gauss_legendre, _solver_agreement_check, run_suite, suite_analytic,
+    SUITES, _determinism_check, _gauss_legendre, _solver_agreement_check, run_suite,
+    suite_analytic,
 )
 
 
@@ -67,6 +69,18 @@ class TestSuitesPass:
     def test_rotation_seed_7(self):
         checks = run_suite("rotation", alpha=0.01, seed=7)
         assert all(c["pass"] for c in checks), [c for c in checks if not c["pass"]]
+
+
+    def test_determinism_check_runs_the_worker_counts_it_names(self, monkeypatch):
+        resolved = []
+        resolve = collide.montecarlo._resolve_workers
+        monkeypatch.setattr(collide.montecarlo, "_resolve_workers",
+                            lambda requested, blocks:
+                            resolved.append(resolve(requested, blocks)) or resolved[-1])
+        check = _determinism_check(42)
+        assert check["pass"]
+        assert check["detail"] == "accumulators bit-identical for workers=1 and workers=8"
+        assert resolved == [1, 8]
 
 
 class TestMutationSanity:

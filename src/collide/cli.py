@@ -12,6 +12,7 @@ double and an allocation the machine refuses), 3 I/O failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -22,6 +23,7 @@ import numpy as np
 from . import __version__, analytic, validation
 from .geometry import Ball
 from .montecarlo import DEFAULT_SAMPLE_CAP, SimConfig, proportion_report, run
+from .rng import BLOCK
 
 _EXIT_OK = 0
 _EXIT_VALIDATION = 1
@@ -51,6 +53,15 @@ def _cmd_simulate(args) -> dict:
     )
     if args.cap < 0:
         raise ValueError(f"--cap must be >= 0, got {args.cap}")
+    # one block's draws, allocated and dropped before --out is opened: numpy
+    # refuses them at once for a --d the run could never hold, where the CSV
+    # header would first build d column names
+    rows = min(BLOCK, args.n)
+    try:
+        np.empty((rows, 2 * args.d))
+    except (ValueError, MemoryError):
+        raise ValueError(f"--d {args.d} is too large: one block's draws, {rows} x {2 * args.d} "
+                         f"doubles, cannot be allocated") from None
     acc = run(config, dump=args.out)
     results = proportion_report(acc, seed=args.seed, sampler=args.sampler).to_json()
     results["retained_samples"] = min(args.cap, acc.collisions)
@@ -99,7 +110,11 @@ def _cmd_table(args) -> dict:
     ]}
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built on the first call and shared by every later one: parsing leaves
+    # the parser as it was, and each handler looks up what it calls
+    # (validation.run_suite, run, ...) when it runs, not here
     parser = argparse.ArgumentParser(
         prog="collide",
         description="Collision probabilities and contact-location laws for two "

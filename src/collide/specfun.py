@@ -142,8 +142,11 @@ def _reg_inc_beta_sides(x: np.ndarray, y: np.ndarray, a: float, b: float) -> np.
         inner = (xs > 0.0) & (ys > 0.0)
         flip = xs > flip_at
         low, high = inner & ~flip, inner & flip
-        vals[low] = _reg_inc_beta_inner(xs[low], a, b, log_beta)
-        vals[high] = 1.0 - _reg_inc_beta_inner(ys[high], b, a, log_beta)
+        # a side with no elements is skipped: a scalar has one side at most
+        if np.count_nonzero(low):
+            vals[low] = _reg_inc_beta_inner(xs[low], a, b, log_beta)
+        if np.count_nonzero(high):
+            vals[high] = 1.0 - _reg_inc_beta_inner(ys[high], b, a, log_beta)
         out[start:start + _CHUNK] = vals
     return out
 

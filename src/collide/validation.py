@@ -10,6 +10,7 @@ invariance of the conditional sampler.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -51,12 +52,14 @@ def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 _NEWTON_STEPS = 10
 
 
+@functools.cache
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes (ascending) and weights of the n-point Gauss-Legendre rule on [-1, 1].
 
     Newton's method on P_n from Tricomi's estimate of its roots (Davis &
     Rabinowitz, Methods of Numerical Integration, 1984), with elementwise
-    numpy only: no LAPACK call and no numpy.polynomial import.
+    numpy only: no LAPACK call and no numpy.polynomial import.  Built once
+    per n and process; the arrays are shared, so they are read-only.
     """
     x = np.cos(math.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5))
     for _ in range(_NEWTON_STEPS):
@@ -66,7 +69,9 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
         if np.abs(step).max() <= 1e-15:
             break
     _, slope = _legendre(n, x)
-    return x, 2.0 / ((1.0 - x * x) * slope * slope)
+    weights = 2.0 / ((1.0 - x * x) * slope * slope)
+    x.flags.writeable = weights.flags.writeable = False
+    return x, weights
 
 
 # Nodes of the rule behind conditional_density_normalization: after the

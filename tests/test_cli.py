@@ -5,7 +5,11 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +19,7 @@ import collide.montecarlo
 from collide.analytic import location_coefficient
 from collide.cli import main
 
+ROOT = Path(__file__).resolve().parents[1]
 ENVELOPE_KEYS = {"command", "params", "results", "seed", "elapsed", "version"}
 
 
@@ -144,13 +149,24 @@ class TestSimulate:
 
     @pytest.mark.parametrize("sampler", ["naive", "conditional"])
     def test_refused_allocation_exits_2(self, capsys, sampler):
-        # a block's normals at d = 10^15 take 7.11 PiB or more, past the
-        # 128 TiB a process can address; no --out, whose header would list
-        # 10^15 column names before the first block runs
+        # one block's draws at d = 10^15 take 142 PiB, past the 128 TiB a
+        # process can address
         assert main(["simulate", "--sampler", sampler, "--d", str(10**15), "--r", "0.5",
                      "--n", "10", "--workers", "1"]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), err
+
+    @pytest.mark.parametrize("sampler", ["naive", "conditional"])
+    def test_huge_dimension_with_out_fails_at_once(self, capsys, tmp_path, sampler):
+        # one block's draws at d = 10^15 take 142 PiB, which numpy refuses
+        # without allocating; the refusal comes before --out is opened and
+        # before its header would list 10^15 column names
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--sampler", sampler, "--d", str(10**15), "--r", "0.5",
+                     "--n", "10", "--workers", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: --d 1000000000000000 "), err
+        assert not out.exists()
 
     def test_bare_memory_error_is_named(self, capsys, monkeypatch):
         # a MemoryError raised by Python itself carries no message
@@ -284,6 +300,42 @@ class TestValidate:
         # an argument error, not a validation failure, and no check runs
         assert main(["validate", "--suite", "analytic", f"--alpha={alpha}"]) == 2
         assert "alpha" in capsys.readouterr().err
+
+
+class TestParserCache:
+    # main builds its parser once per process; a later call must report
+    # what the same argv reports as the first call of a fresh process
+    SEQUENCE = (
+        ["validate", "--suite", "analytic"],
+        ["validate", "--suite", "nonesuch"],
+        ["simulate", "--d", "2", "--r", "0.5", "--n", "20000", "--seed", "7"],
+        ["validate", "--suite", "analytic", "--seed", "5", "--alpha", "0.05"],
+    )
+
+    @staticmethod
+    def _without_elapsed(out):
+        if not out.strip():
+            return None
+        report = json.loads(out)
+        del report["elapsed"]
+        return report
+
+    def test_later_calls_match_first_calls(self, capsys):
+        main(["table"])  # the parser exists before the sequence starts
+        capsys.readouterr()
+        env = dict(os.environ, PYTHONPATH="src")
+        codes = []
+        for argv in self.SEQUENCE:
+            code = main(argv)
+            got = capsys.readouterr()
+            fresh = subprocess.run([sys.executable, "-m", "collide.cli", *argv], cwd=ROOT,
+                                   env=env, capture_output=True, text=True)
+            assert code == fresh.returncode, argv
+            assert self._without_elapsed(got.out) == self._without_elapsed(fresh.stdout), argv
+            assert got.err == fresh.stderr, argv
+            codes.append(code)
+        assert codes == [0, 2, 0, 0]
+        assert collide.cli._build_parser() is collide.cli._build_parser()
 
 
 class TestDensity:

@@ -38,12 +38,18 @@ def test_import_loads_numpy_and_stdlib_only():
 
 def test_cli_import_leaves_numpy_polynomial_unloaded():
     # numpy.polynomial costs about 4 ms to import, which a one-shot CLI call
-    # would pay; the package's quadrature rule is built without it
-    probe = "import sys, collide.cli; print('numpy.polynomial' in sys.modules)"
+    # would pay; the package's quadrature rule is built without it.  Import
+    # builds neither the parser nor the rule, which are cached on first use,
+    # and the cached rule's arrays are shared, so they are read-only
+    probe = ("import sys; from collide import cli, validation; "
+             "print('numpy.polynomial' in sys.modules, "
+             "cli._build_parser.cache_info().currsize, "
+             "validation._gauss_legendre.cache_info().currsize, "
+             "*(a.flags.writeable for a in validation._gauss_legendre(20)))")
     env = dict(os.environ, PYTHONPATH="src")
     out = subprocess.run([sys.executable, "-c", probe], cwd=ROOT, env=env,
                          capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "False"
+    assert out.split() == ["False", "0", "0", "False", "False"]
 
 
 def test_analytic_suite_calls_no_eigensolver(monkeypatch):

@@ -13,6 +13,7 @@ import pytest
 import scipy.special as sps
 import scipy.stats
 
+import collide.specfun
 from collide.specfun import _CHUNK, f_cdf, kolmogorov_sf, log_gamma, reg_inc_beta
 
 # Shape parameters from the regimes of DiDonato & Morris (ACM TOMS 708):
@@ -152,6 +153,28 @@ class TestArrayPath:
                       f_cdf(1.0, 2, 2)):
             assert type(value) is float
             assert json.loads(json.dumps(value)) == value
+
+
+class TestOneSide:
+    # the continued fraction runs only on a side of the complement switch
+    # that has elements, so a scalar evaluates one side
+    @pytest.mark.parametrize("x", [0.1, 0.3, 0.5, 0.7, 0.9])
+    def test_scalar_runs_one_side(self, monkeypatch, x):
+        sizes = []
+        real = collide.specfun._reg_inc_beta_inner
+
+        def spy(values, *args):
+            sizes.append(values.size)
+            return real(values, *args)
+
+        monkeypatch.setattr(collide.specfun, "_reg_inc_beta_inner", spy)
+        a, b = 2.0, 3.0  # the switch sits at x = (a + 1) / (a + b + 2) = 3/7
+        assert reg_inc_beta(x, a, b) == pytest.approx(sps.betainc(a, b, x), abs=1e-12)
+        assert sizes == [1]
+
+    def test_endpoints_run_no_side(self, monkeypatch):
+        monkeypatch.setattr(collide.specfun, "_reg_inc_beta_inner", None)
+        assert reg_inc_beta([0.0, 1.0], 2.0, 3.0).tolist() == [0.0, 1.0]
 
 
 class TestFCdf:

@@ -44,7 +44,6 @@ writer and its reader ``load_sample_csv``, lives in this module alone.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 import os
@@ -516,8 +515,8 @@ def _drive(config: SimConfig, block_fn, dump) -> Accumulator:
 def run_naive(config: SimConfig, dump=None) -> Accumulator:
     """Runs the direct engine: every trial an independent velocity pair.
 
-    Optionally dumps one CSV row per trial to ``dump`` (path or open
-    text file); rows appear in trial order regardless of worker count.
+    Optionally dumps one CSV row per trial to the path ``dump``; rows
+    appear in trial order regardless of worker count.
     """
     if config.sampler != "naive":
         raise ValueError(f"config requests sampler {config.sampler!r}, not 'naive'")
@@ -565,12 +564,12 @@ class SampleDump:
     locations: np.ndarray
 
 
-def _csv_header(dim: int) -> list[str]:
-    return ["trial", "collided", "t"] + [f"c_{i + 1}" for i in range(dim)]
+def _csv_header(dim: int) -> str:
+    return ",".join(["trial", "collided", "t"] + [f"c_{i + 1}" for i in range(dim)])
 
 
-def _write_sample_csv(path_or_file, dim: int, tallies: Iterable[Accumulator]) -> None:
-    """Writes one CSV row per trial: trial,collided,t,c_1,...,c_d.
+def _write_sample_csv(path, dim: int, tallies: Iterable[Accumulator]) -> None:
+    """Writes one CSV row per trial to ``path``: trial,collided,t,c_1,...,c_d.
 
     ``tallies`` are a run's block tallies in trial order, each holding
     every collision of its block; blocks are consecutive from trial 0, so
@@ -578,10 +577,8 @@ def _write_sample_csv(path_or_file, dim: int, tallies: Iterable[Accumulator]) ->
     the time and location fields empty.  A run's capped Accumulator is not
     such a tally: its collisions past the cap would be written as misses.
     """
-    own = isinstance(path_or_file, (str, os.PathLike))
-    fh = open(path_or_file, "w", newline="") if own else path_or_file
-    try:
-        fh.write(",".join(_csv_header(dim)) + "\n")
+    with open(path, "w", newline="") as fh:
+        fh.write(_csv_header(dim) + "\n")
         # %.17g round-trips every double; a miss leaves t and c empty
         hit_row = "%d,true," + ",".join(["%.17g"] * (dim + 1))
         miss_tail = ",false," + "," * dim
@@ -594,55 +591,54 @@ def _write_sample_csv(path_or_file, dim: int, tallies: Iterable[Accumulator]) ->
                 lines[row[0] - first] = hit_row % row
             first += tally.trials
             fh.write("\n".join(lines) + "\n")
-    finally:
-        if own:
-            fh.close()
 
 
 def load_sample_csv(path) -> SampleDump:
     """Reads a sample dump written by the simulation engine.
 
-    Expects the header trial,collided,t,c_1,...,c_d.  A hit row (collided
-    true) fills every field with a finite number; a miss row (false) leaves
-    t and c empty, read back as NaN.  Trials must be 0, 1, 2, ... in order.
-    Any other row is refused.
+    Expects the header trial,collided,t,c_1,...,c_d, then row i in the
+    writer's own form: a miss is ``i,false,`` and d more commas, read back
+    as NaN; a hit (collided true) fills every field with a finite number.
+    Any other row is refused, quoted fields and trials written ``05`` too.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        d = len(header) - 3
-        if d < 1 or header != _csv_header(d):
-            raise ValueError(f"{path}: not a sample CSV (header {header!r})")
-        trial, collided, times, locs = [], [], [], []
-        miss = [math.nan] * d
-        for row in reader:
-            if len(row) != 3 + d:
-                raise ValueError(f"{path}: row has {len(row)} fields, expected {3 + d}")
-            # a hit fills every time and location field, a miss none of them
-            flag, fields = row[1], row[2:]
-            if flag == "true" and all(fields):
-                times.append(float(fields[0]))
-                locs.append([float(v) for v in fields[1:]])
-            elif flag == "false" and not any(fields):
-                times.append(math.nan)
-                locs.append(miss)
-            elif flag not in ("true", "false"):
-                raise ValueError(f"{path}: collided field {flag!r} is not 'true' or 'false'")
-            else:
-                kind = "hit row with an empty" if flag == "true" else "miss row with a filled"
-                raise ValueError(f"{path}: trial {row[0]}: {kind} time or location field")
-            trial.append(int(row[0]))
-            collided.append(flag == "true")
-    dump = SampleDump(
-        trial=np.asarray(trial, dtype=np.int64),
-        collided=np.asarray(collided, dtype=bool),
-        times=np.asarray(times, dtype=float),
-        locations=np.asarray(locs, dtype=float).reshape(len(trial), d),
-    )
+    with open(path) as fh:
+        header, *rows = fh.read().removesuffix("\n").split("\n")
+    d = header.count(",") - 2
+    if d < 1 or header != _csv_header(d):
+        raise ValueError(f"{path}: not a sample CSV (header {header!r})")
+    n, miss_tail = len(rows), ",false," + "," * d
+    collided, values = np.zeros(n, dtype=bool), np.full((n, 1 + d), math.nan)
+    in_order = True
+    # only rows unlike their miss row are split, one BLOCK at a time to bound the strings held
+    for first in range(0, n, BLOCK):
+        lines = np.array(rows[first:first + BLOCK], dtype=object)
+        trials = np.array([str(i) for i in range(first, first + len(lines))], dtype=object)
+        odd = np.flatnonzero(lines != trials + miss_tail)
+        cells = [line.split(",") for line in lines[odd]]
+        widths = set(map(len, cells)) - {3 + d}
+        if widths:
+            raise ValueError(f"{path}: row has {widths.pop()} fields, expected {3 + d}")
+        cells = np.array(cells, dtype=object).reshape(-1, 3 + d)
+        hit = cells[:, 1] == "true"
+        bad = ~hit & (cells[:, 1] != "false")
+        if bad.any():
+            raise ValueError(f"{path}: collided field {cells[bad, 1][0]!r} is not 'true' or 'false'")
+        # a hit fills every time and location field, a miss none of them
+        empty = cells[:, 2:] == ""
+        bad = np.where(hit, empty.any(axis=1), ~empty.all(axis=1))
+        if bad.any():
+            k = bad.argmax()
+            kind = "hit row with an empty" if hit[k] else "miss row with a filled"
+            raise ValueError(f"{path}: trial {cells[k, 0]}: {kind} time or location field")
+        in_order &= bool((cells[:, 0] == trials[odd]).all())
+        try:
+            values[first + odd[hit]] = cells[hit, 2:].astype(float)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        collided[first + odd[hit]] = True
     # run once the rows are read, so a malformed row is named first
-    if not np.array_equal(dump.trial, np.arange(len(trial))):
+    if not in_order:
         raise ValueError(f"{path}: trial indices are not 0, 1, 2, ... in order")
-    finite = np.isfinite(dump.times) & np.isfinite(dump.locations).all(axis=1)
-    if not finite[dump.collided].all():
+    if not np.isfinite(values[collided]).all():
         raise ValueError(f"{path}: a hit row has a non-finite time or location")
-    return dump
+    return SampleDump(np.arange(n), collided, values[:, 0], values[:, 1:])

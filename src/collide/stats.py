@@ -172,6 +172,8 @@ def angular_uniformity_test(points, alpha: float = 0.01) -> list[StatTestResult]
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] < 2:
         raise ValueError("points must be an (n, d) array with d >= 2")
+    if not np.isfinite(pts).all():
+        raise ValueError("points must be finite; a NaN or infinite point has no direction")
     norms = np.linalg.norm(pts, axis=1)
     if not (norms > 0.0).all():
         raise ValueError("zero vector encountered; directions are undefined")

@@ -877,6 +877,8 @@ class TestCsvRoundtrip:
         ("0,true,,2.0,3.0", "hit row"),
         ("0,true,1.0,2.0,", "hit row"),
         ("0,true,1.0,2.0", "fields"),
+        ('0,"true",1.0,2.0,3.0', "collided field"),
+        ("0,true,abc,2.0,3.0", r"bad\.csv: could not convert string to float: 'abc'"),
     ])
     def test_load_refuses_malformed_rows(self, tmp_path, row, problem):
         path = tmp_path / "bad.csv"
@@ -892,6 +894,10 @@ class TestCsvRoundtrip:
         (["0,false,,,", "2,true,1.0,2.0,3.0"], "in order"),
         (["-1,false,,,", "0,true,1.0,2.0,3.0"], "in order"),
         (["1,false,,,", "0,true,1.0,2.0,3.0"], "in order"),
+        (["0,false,,,", "x,true,1.0,2.0,3.0"], r"bad\.csv: trial indices are not"),
+        ([f"{i},false,,," for i in range(5)] + ["05,true,1.0,2.0,3.0"], "in order"),
+        (["+0,false,,,", "1,true,1.0,2.0,3.0"], "in order"),
+        ([" 0,false,,,", "1,true,1.0,2.0,3.0"], "in order"),
     ])
     def test_load_refuses_bad_trials_and_non_finite_hits(self, tmp_path, rows, problem):
         # well-formed rows one by one; the file as a whole is not a dump
@@ -899,6 +905,27 @@ class TestCsvRoundtrip:
         path.write_text("trial,collided,t,c_1,c_2\n" + "\n".join(rows) + "\n")
         with pytest.raises(ValueError, match=problem):
             load_sample_csv(path)
+
+    @pytest.mark.parametrize("text", [
+        "",
+        "trial,collided,t\n0,false,\n",
+        "trial,collided,t,c_1,c_3\n0,false,,,\n",
+        '"trial",collided,t,c_1,c_2\n0,false,,,\n',
+    ])
+    def test_load_refuses_other_headers(self, tmp_path, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="not a sample CSV"):
+            load_sample_csv(path)
+
+    def test_crlf_dump_loads_like_its_lf_twin(self, tmp_path):
+        lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+        run_naive(ball_config(n=300, seed=35), dump=lf)
+        crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+        a, b = load_sample_csv(lf), load_sample_csv(crlf)
+        assert a.collided.any() and not a.collided.all()
+        for field in ("trial", "collided", "times", "locations"):
+            np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
 
     def test_dump_of_blocks_without_collisions(self, tmp_path):
         # a d = 6 ball of radius 1e-3 is hit with probability 1.7e-16, so

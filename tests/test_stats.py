@@ -173,6 +173,11 @@ class TestAngularUniformity:
         with pytest.raises(ValueError):
             angular_uniformity_test(np.array([[1.0, 0.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_point_rejected(self, bad):
+        with pytest.raises(ValueError, match="must be finite"):
+            angular_uniformity_test(np.array([[1.0, 0.0], [bad, 1.0]]))
+
     def test_needs_two_dimensions(self):
         with pytest.raises(ValueError):
             angular_uniformity_test(np.ones((50, 1)))

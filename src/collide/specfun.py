@@ -26,7 +26,8 @@ _CF_EPS = 1e-15
 _CF_MAX_ITER = 500
 
 # Array arguments are evaluated this many elements at a time, so the
-# continued fraction's temporaries stay small however long the input is.
+# temporaries of the argument, its complement and the continued fraction
+# stay small however long the input is.
 _CHUNK = 8192
 
 
@@ -125,30 +126,27 @@ def _reg_inc_beta_inner(x: np.ndarray, a: float, b: float, log_beta: float) -> n
     return np.clip(np.exp(log_front) * _beta_cf(x, a, b), 0.0, 1.0)
 
 
-def _reg_inc_beta_sides(x: np.ndarray, y: np.ndarray, a: float, b: float) -> np.ndarray:
+def _reg_inc_beta_sides(x: np.ndarray, y: np.ndarray, a: float, b: float,
+                        log_beta: float) -> np.ndarray:
     """I_x(a, b) for flat arrays x and y = 1 - x, each formed by the caller.
 
     Past the distribution bulk the complement identity
     I_x(a, b) = 1 - I_y(b, a) keeps the continued fraction in its rapidly
     converging regime; it reads y as given, so a caller that can form y
-    without cancellation keeps its accuracy next to x = 1.
+    without cancellation keeps its accuracy next to x = 1.  Callers pass
+    one ``_CHUNK`` of elements at a time and ``_log_beta(a, b)``, which is
+    symmetric in (a, b), so both sides share it.
     """
-    log_beta = _log_beta(a, b)  # symmetric in (a, b), so both sides share it
-    flip_at = (a + 1.0) / (a + b + 2.0)
-    out = np.empty_like(y)
-    for start in range(0, y.size, _CHUNK):
-        xs, ys = x[start:start + _CHUNK], y[start:start + _CHUNK]
-        vals = (ys == 0.0).astype(float)  # I_0 = 0 and I_1 = 1 exactly
-        inner = (xs > 0.0) & (ys > 0.0)
-        flip = xs > flip_at
-        low, high = inner & ~flip, inner & flip
-        # a side with no elements is skipped: a scalar has one side at most
-        if np.count_nonzero(low):
-            vals[low] = _reg_inc_beta_inner(xs[low], a, b, log_beta)
-        if np.count_nonzero(high):
-            vals[high] = 1.0 - _reg_inc_beta_inner(ys[high], b, a, log_beta)
-        out[start:start + _CHUNK] = vals
-    return out
+    vals = (y == 0.0).astype(float)  # I_0 = 0 and I_1 = 1 exactly
+    inner = (x > 0.0) & (y > 0.0)
+    flip = x > (a + 1.0) / (a + b + 2.0)
+    low, high = inner & ~flip, inner & flip
+    # a side with no elements is skipped: a scalar has one side at most
+    if np.count_nonzero(low):
+        vals[low] = _reg_inc_beta_inner(x[low], a, b, log_beta)
+    if np.count_nonzero(high):
+        vals[high] = 1.0 - _reg_inc_beta_inner(y[high], b, a, log_beta)
+    return vals
 
 
 def reg_inc_beta(x, a: float, b: float):
@@ -175,7 +173,12 @@ def reg_inc_beta(x, a: float, b: float):
     if outside.any():
         raise ValueError(f"x must lie in [0, 1], got {x[outside][0]}")
     flat = x.ravel()
-    return _float_or_array(_reg_inc_beta_sides(flat, 1.0 - flat, a, b).reshape(x.shape))
+    log_beta = _log_beta(a, b)
+    out = np.empty_like(flat)
+    for start in range(0, flat.size, _CHUNK):
+        xs = flat[start:start + _CHUNK]
+        out[start:start + _CHUNK] = _reg_inc_beta_sides(xs, 1.0 - xs, a, b, log_beta)
+    return _float_or_array(out.reshape(x.shape))
 
 
 def f_cdf(x, d1: int, d2: int):
@@ -192,13 +195,18 @@ def f_cdf(x, d1: int, d2: int):
     negative = x < 0.0
     if negative.any():
         raise ValueError(f"f_cdf requires x >= 0, got {x[negative][0]}")
-    dx = d1 * x.ravel()
-    # The complement d2 / (d1 x + d2) is formed directly: 1 minus the
-    # argument would cancel where the argument rounds next to 1.  x = inf
-    # gives a NaN argument and a complement of 0, which is the CDF's 1.
-    with np.errstate(invalid="ignore"):
-        arg = dx / (dx + d2)
-    out = _reg_inc_beta_sides(arg, d2 / (dx + d2), 0.5 * d1, 0.5 * d2)
+    a, b = 0.5 * d1, 0.5 * d2
+    log_beta = _log_beta(a, b)
+    flat = x.ravel()
+    out = np.empty_like(flat)
+    for start in range(0, flat.size, _CHUNK):
+        dx = d1 * flat[start:start + _CHUNK]
+        # The complement d2 / (d1 x + d2) is formed directly: 1 minus the
+        # argument would cancel where the argument rounds next to 1.  x = inf
+        # gives a NaN argument and a complement of 0, which is the CDF's 1.
+        with np.errstate(invalid="ignore"):
+            arg = dx / (dx + d2)
+        out[start:start + _CHUNK] = _reg_inc_beta_sides(arg, d2 / (dx + d2), a, b, log_beta)
     return _float_or_array(out.reshape(x.shape))
 
 

@@ -123,6 +123,11 @@ def ks_test(samples, cdf, alpha: float = 0.01, name: str = "ks") -> StatTestResu
     Returns:
         StatTestResult with statistic D_n = sup |empirical - cdf| and
         p-value kolmogorov_sf(sqrt(n) * D_n).
+
+    Besides what ``cdf`` allocates, the test holds four n-length float
+    arrays: the sorted copy of the samples (the input is not modified),
+    the cdf values, the empirical grid i/n, and one difference buffer
+    that D+ and D- are formed in, one after the other.
     """
     xs = np.sort(np.asarray(samples, dtype=float).ravel())
     n = xs.size
@@ -139,8 +144,10 @@ def ks_test(samples, cdf, alpha: float = 0.01, name: str = "ks") -> StatTestResu
     if f.min() < -1e-12 or f.max() > 1.0 + 1e-12:
         raise ValueError("cdf returned values outside [0, 1]")
     grid = np.arange(1, n + 1, dtype=float) / n
-    d_plus = float(np.max(grid - f))
-    d_minus = float(np.max(f - (grid - 1.0 / n)))
+    diff = np.subtract(grid, f)
+    d_plus = float(np.max(diff))
+    np.subtract(grid, 1.0 / n, out=diff)
+    d_minus = float(np.max(np.subtract(f, diff, out=diff)))
     stat = max(d_plus, d_minus, 0.0)
     return _make_result(name, stat, kolmogorov_sf(math.sqrt(n) * stat), n, alpha)
 
@@ -177,11 +184,12 @@ def angular_uniformity_test(points, alpha: float = 0.01) -> list[StatTestResult]
     norms = np.linalg.norm(pts, axis=1)
     if not (norms > 0.0).all():
         raise ValueError("zero vector encountered; directions are undefined")
-    unit = pts / norms[:, None]
     d = pts.shape[1]
     level = alpha / d
+    # one unit-vector coordinate at a time, not the whole (n, d) unit array
     return [
-        ks_test(unit[:, k], lambda t: sphere_coord_cdf(t, d), alpha=level, name=f"axis_{k + 1}")
+        ks_test(pts[:, k] / norms, lambda t: sphere_coord_cdf(t, d), alpha=level,
+                name=f"axis_{k + 1}")
         for k in range(d)
     ]
 

@@ -190,11 +190,13 @@ def _consistency_check(seed: int) -> dict:
     n_naive, n_cond = 10**6, 10**5
     p = analytic.collision_prob_exact(r, d)
     shape = Ball(radius=r, dim=d)
-    acc_n = run_naive(SimConfig(shape=shape, n=n_naive, seed=seed))
-    inside_n = int((np.linalg.norm(acc_n.location_samples, axis=1) <= 1.0).sum())
-    q_hat = inside_n / n_naive
-    acc_c = run_conditional(SimConfig(shape=shape, n=n_cond, seed=offset_seed(seed, 1), sampler="conditional"))
-    m_hat = float((np.linalg.norm(acc_c.location_samples, axis=1) <= 1.0).mean())
+    # each run's contact points go as soon as they are read
+    c = run_naive(SimConfig(shape=shape, n=n_naive, seed=seed)).location_samples
+    q_hat = int((np.linalg.norm(c, axis=1) <= 1.0).sum()) / n_naive
+    del c
+    c = run_conditional(SimConfig(shape=shape, n=n_cond, seed=offset_seed(seed, 1),
+                                  sampler="conditional")).location_samples
+    m_hat = float((np.linalg.norm(c, axis=1) <= 1.0).mean())
     joint = p * m_hat
     sigma = math.sqrt(q_hat * (1.0 - q_hat) / n_naive + p * p * m_hat * (1.0 - m_hat) / n_cond)
     err = abs(joint - q_hat)
@@ -232,14 +234,16 @@ def suite_mc(seed: int = 42) -> list[dict]:
 def suite_location(alpha: float = 0.01, seed: int = 42) -> list[dict]:
     checks = []
 
+    # Each test keeps only the array it reads, until it is done: these KS
+    # checks and the runs behind them set validate's peak memory.
     r = 0.3
-    acc = run_conditional(SimConfig(shape=Ball(radius=r, dim=1), n=10**5,
-                                    seed=seed, sampler="conditional"))
+    points = run_conditional(SimConfig(shape=Ball(radius=r, dim=1), n=10**5,
+                                       seed=seed, sampler="conditional")).location_samples[:, 0]
     scale = 1.0 - r
     res = stats.ks_test(
-        acc.location_samples[:, 0],
-        lambda x: 0.5 + np.arctan(x / scale) / math.pi,
+        points, lambda x: 0.5 + np.arctan(x / scale) / math.pi,
         alpha=alpha, name="line_contact_cauchy")
+    del points
     checks.append(_from_stat("line_contact_cauchy", res,
                              f"d=1 conditional contact points vs Cauchy(0, {scale})"))
 
@@ -247,11 +251,14 @@ def suite_location(alpha: float = 0.01, seed: int = 42) -> list[dict]:
     # of the KS slack at this n, so each d gets its own stream offset with
     # measured headroom instead of consecutive seeds.
     for d, offset in ((2, 1), (3, 6)):
-        acc = run_conditional(SimConfig(shape=Ball(radius=0.01, dim=d), n=10**5,
-                                        seed=offset_seed(seed, offset), sampler="conditional"))
-        sq = np.einsum("ij,ij->i", acc.location_samples, acc.location_samples)
+        c = run_conditional(SimConfig(shape=Ball(radius=0.01, dim=d), n=10**5,
+                                      seed=offset_seed(seed, offset),
+                                      sampler="conditional")).location_samples
+        sq = np.einsum("ij,ij->i", c, c)
+        del c
         res = stats.ks_test(sq, lambda x: analytic.radial_cdf_conditional(np.sqrt(x), d),
                             alpha=alpha, name=f"radial_f_law_d{d}")
+        del sq
         checks.append(_from_stat(f"radial_f_law_d{d}", res,
                                  f"squared contact radii vs F({d},{d}) at r=0.01"))
 
@@ -268,9 +275,10 @@ def suite_rotation(alpha: float = 0.01, seed: int = 42) -> list[dict]:
     )
     checks = []
     for i, (name, body, prefix) in enumerate(bodies):
-        acc = run_conditional(SimConfig(shape=body, n=10**5, seed=offset_seed(seed, i),
-                                        sampler="conditional"))
-        axis_results = stats.angular_uniformity_test(acc.location_samples, alpha=alpha)
+        c = run_conditional(SimConfig(shape=body, n=10**5, seed=offset_seed(seed, i),
+                                      sampler="conditional")).location_samples
+        axis_results = stats.angular_uniformity_test(c, alpha=alpha)
+        del c
         worst = min(r.p_value for r in axis_results)
         checks.append(_check(
             name, all(r.passed for r in axis_results),

@@ -102,6 +102,16 @@ class TestElementarySamplers:
                       alpha=1e-3)
         assert res.passed
 
+    @pytest.mark.parametrize("k", range(1, 10))
+    def test_row_norms_keep_numpy_bits(self, k):
+        # the column sums below 8 columns, and numpy's pairwise sum from 8
+        # on, are what the conditional streams carry
+        g = np.random.default_rng(k)
+        a = g.standard_normal((4_096, k)) * np.exp(g.uniform(-30.0, 30.0, (4_096, k)))
+        want = np.add.reduce(a * a, axis=1)
+        np.testing.assert_array_equal(mc._row_norms2(a), want)
+        np.testing.assert_array_equal(np.sqrt(mc._row_norms2(a)), np.linalg.norm(a, axis=1))
+
     def test_cap_direction_unit_and_inside(self):
         for d in (2, 3, 4, 6):
             c = 0.62

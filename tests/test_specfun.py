@@ -14,7 +14,15 @@ import scipy.special as sps
 import scipy.stats
 
 import collide.specfun
-from collide.specfun import _CHUNK, f_cdf, kolmogorov_sf, log_gamma, reg_inc_beta
+from collide.specfun import (
+    _CHUNK,
+    _log_beta,
+    _reg_inc_beta_sides,
+    f_cdf,
+    kolmogorov_sf,
+    log_gamma,
+    reg_inc_beta,
+)
 
 # Shape parameters from the regimes of DiDonato & Morris (ACM TOMS 708):
 # a or b below 1, equal to 1, between 1 and 2, moderate and large.
@@ -129,6 +137,25 @@ class TestArrayPath:
         got = reg_inc_beta(x, 1.5, 3.0)
         want = np.array([reg_inc_beta(np.asarray(v), 1.5, 3.0) for v in x])
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
+
+    def test_chunks_match_the_full_array_formula(self):
+        # 3 full chunks and 5 more elements, with 0, 1 and inf among them:
+        # the argument and its complement, formed one chunk at a time, give
+        # the bits of the same formula on full-length arrays
+        n = 3 * _CHUNK + 5
+        g = np.random.default_rng(10)
+        x = g.permutation(np.linspace(0.0, 1.0, n))
+        want = _reg_inc_beta_sides(x, 1.0 - x, 1.5, 3.0, _log_beta(1.5, 3.0))
+        np.testing.assert_array_equal(reg_inc_beta(x, 1.5, 3.0), want)
+
+        x = g.permutation(np.concatenate([[0.0, 1.0, math.inf], g.f(3, 5, n - 3)]))
+        dx = 3 * x
+        with np.errstate(invalid="ignore"):
+            arg = dx / (dx + 5)
+        want = _reg_inc_beta_sides(arg, 5 / (dx + 5), 1.5, 2.5, _log_beta(1.5, 2.5))
+        got = f_cdf(x, 3, 5)
+        np.testing.assert_array_equal(got, want)
+        assert got[x == 0.0] == 0.0 and got[x == math.inf] == 1.0
 
     def test_shape_is_kept(self):
         x = np.linspace(0.0, 1.0, 12).reshape(3, 4)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from collide.specfun import kolmogorov_sf
 from collide.stats import (
     StatTestResult,
     angular_uniformity_test,
@@ -90,6 +91,29 @@ class TestKsTest:
         with pytest.raises(ValueError, match="shape"):
             ks_test(np.linspace(0.1, 0.9, 20), cdf)
 
+    @pytest.mark.parametrize("layout", ["contiguous", "strided", "tied", "n10"])
+    def test_statistic_is_the_full_array_formula(self, layout):
+        # D+ and D- share one difference buffer; the statistic and p-value
+        # are those of the plain grid - f and f - (grid - 1/n), bit for bit,
+        # and the caller's samples are left as they were
+        g = np.random.default_rng(21)
+        samples = {
+            "contiguous": g.standard_cauchy(10_001),
+            "strided": g.standard_cauchy((10_001, 3))[:, 1],
+            "tied": np.round(g.standard_cauchy(10_001), 1),
+            "n10": g.standard_cauchy(10),
+        }[layout]
+        before = samples.copy()
+        cauchy = lambda x: 0.5 + np.arctan(x) / math.pi
+        res = ks_test(samples, cauchy)
+        f = cauchy(np.sort(samples))
+        n = f.size
+        grid = np.arange(1, n + 1, dtype=float) / n
+        stat = max(float(np.max(grid - f)), float(np.max(f - (grid - 1.0 / n))), 0.0)
+        assert res.statistic == stat
+        assert res.p_value == kolmogorov_sf(math.sqrt(n) * stat)
+        np.testing.assert_array_equal(samples, before)
+
     def test_json_fields(self):
         res = ks_test(np.linspace(0.001, 0.999, 100), lambda x: x, name="u")
         assert set(res.to_json()) == {"name", "statistic", "p_value", "n", "alpha", "pass"}
@@ -168,6 +192,15 @@ class TestAngularUniformity:
         b = angular_uniformity_test(scaled, alpha=0.01)
         for ra, rb in zip(a, b):
             assert ra.statistic == pytest.approx(rb.statistic, abs=1e-12)
+
+    def test_axes_are_the_unit_array_columns(self):
+        # one coordinate is divided by the norms at a time; the tests see
+        # the same bits as the columns of the whole (n, d) unit array
+        pts = np.random.default_rng(14).standard_normal((2_000, 3))
+        unit = pts / np.linalg.norm(pts, axis=1)[:, None]
+        for k, res in enumerate(angular_uniformity_test(pts)):
+            want = ks_test(unit[:, k], lambda t: sphere_coord_cdf(t, 3), alpha=0.01 / 3)
+            assert (res.statistic, res.p_value) == (want.statistic, want.p_value)
 
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):

@@ -133,9 +133,7 @@ def _reg_inc_beta_sides(x: np.ndarray, y: np.ndarray, a: float, b: float,
     Past the distribution bulk the complement identity
     I_x(a, b) = 1 - I_y(b, a) keeps the continued fraction in its rapidly
     converging regime; it reads y as given, so a caller that can form y
-    without cancellation keeps its accuracy next to x = 1.  Callers pass
-    one ``_CHUNK`` of elements at a time and ``_log_beta(a, b)``, which is
-    symmetric in (a, b), so both sides share it.
+    without cancellation keeps its accuracy next to x = 1.
     """
     vals = (y == 0.0).astype(float)  # I_0 = 0 and I_1 = 1 exactly
     inner = (x > 0.0) & (y > 0.0)
@@ -147,6 +145,19 @@ def _reg_inc_beta_sides(x: np.ndarray, y: np.ndarray, a: float, b: float,
     if np.count_nonzero(high):
         vals[high] = 1.0 - _reg_inc_beta_inner(y[high], b, a, log_beta)
     return vals
+
+
+def _reg_inc_beta_chunked(x: np.ndarray, a: float, b: float, sides):
+    """I_u(a, b) over x, with ``reg_inc_beta``'s return convention: ``sides``
+    maps a flat ``_CHUNK`` of x to u and 1 - u, so every temporary is one
+    chunk long, and ``_log_beta(a, b)``, symmetric in (a, b), serves both."""
+    log_beta = _log_beta(a, b)
+    flat = x.ravel()
+    out = np.empty_like(flat)
+    for start in range(0, flat.size, _CHUNK):
+        u, y = sides(flat[start:start + _CHUNK])
+        out[start:start + _CHUNK] = _reg_inc_beta_sides(u, y, a, b, log_beta)
+    return _float_or_array(out.reshape(x.shape))
 
 
 def reg_inc_beta(x, a: float, b: float):
@@ -172,13 +183,7 @@ def reg_inc_beta(x, a: float, b: float):
     outside = (x < 0.0) | (x > 1.0)
     if outside.any():
         raise ValueError(f"x must lie in [0, 1], got {x[outside][0]}")
-    flat = x.ravel()
-    log_beta = _log_beta(a, b)
-    out = np.empty_like(flat)
-    for start in range(0, flat.size, _CHUNK):
-        xs = flat[start:start + _CHUNK]
-        out[start:start + _CHUNK] = _reg_inc_beta_sides(xs, 1.0 - xs, a, b, log_beta)
-    return _float_or_array(out.reshape(x.shape))
+    return _reg_inc_beta_chunked(x, a, b, lambda xs: (xs, 1.0 - xs))
 
 
 def f_cdf(x, d1: int, d2: int):
@@ -195,19 +200,14 @@ def f_cdf(x, d1: int, d2: int):
     negative = x < 0.0
     if negative.any():
         raise ValueError(f"f_cdf requires x >= 0, got {x[negative][0]}")
-    a, b = 0.5 * d1, 0.5 * d2
-    log_beta = _log_beta(a, b)
-    flat = x.ravel()
-    out = np.empty_like(flat)
-    for start in range(0, flat.size, _CHUNK):
-        dx = d1 * flat[start:start + _CHUNK]
+    def sides(xs):
+        dx = d1 * xs
         # The complement d2 / (d1 x + d2) is formed directly: 1 minus the
         # argument would cancel where the argument rounds next to 1.  x = inf
         # gives a NaN argument and a complement of 0, which is the CDF's 1.
         with np.errstate(invalid="ignore"):
-            arg = dx / (dx + d2)
-        out[start:start + _CHUNK] = _reg_inc_beta_sides(arg, d2 / (dx + d2), a, b, log_beta)
-    return _float_or_array(out.reshape(x.shape))
+            return dx / (dx + d2), d2 / (dx + d2)
+    return _reg_inc_beta_chunked(x, 0.5 * d1, 0.5 * d2, sides)
 
 
 # Below this point the alternating series for the Kolmogorov law equals 1

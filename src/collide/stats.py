@@ -3,8 +3,7 @@
 Only the tests the validation suites need: a one-sample KS test with the
 asymptotic Kolmogorov p-value, the per-axis marginal null for directions
 uniform on a sphere, a Bonferroni-combined rotation-invariance check,
-and a score-type binomial confidence interval (the sample CSV loader is
-``montecarlo.load_sample_csv``).
+and a score-type binomial confidence interval.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .specfun import _require_int, kolmogorov_sf, reg_inc_beta
+from .specfun import _reg_inc_beta_chunked, _require_int, kolmogorov_sf
 
 __all__ = [
     "StatTestResult",
@@ -152,6 +151,20 @@ def ks_test(samples, cdf, alpha: float = 0.01, name: str = "ks") -> StatTestResu
     return _make_result(name, stat, kolmogorov_sf(math.sqrt(n) * stat), n, alpha)
 
 
+def _row_norms2(a: np.ndarray) -> np.ndarray:
+    """Each row's squared norm, bit-identical to np.add.reduce(a * a, axis=1).
+
+    Below 8 columns numpy adds a row's elements in order, as the column
+    loop here does at a fraction of the cost; from 8 on it sums pairwise.
+    """
+    if a.shape[1] >= 8:
+        return np.add.reduce(a * a, axis=1)
+    out = a[:, 0] * a[:, 0]
+    for j in range(1, a.shape[1]):
+        out += a[:, j] * a[:, j]
+    return out
+
+
 def sphere_coord_cdf(t, d: int):
     """P(u_1 <= t) for u uniform on the unit sphere in R^d, d >= 2.
 
@@ -165,7 +178,7 @@ def sphere_coord_cdf(t, d: int):
     if d < 2:
         raise ValueError(f"sphere coordinate law needs d >= 2, got {d}")
     half = 0.5 * (d - 1)
-    return reg_inc_beta(0.5 * (t + 1.0), half, half)
+    return _reg_inc_beta_chunked(t, half, half, lambda ts: (u := 0.5 * (ts + 1.0), 1.0 - u))
 
 
 def angular_uniformity_test(points, alpha: float = 0.01) -> list[StatTestResult]:
@@ -181,14 +194,13 @@ def angular_uniformity_test(points, alpha: float = 0.01) -> list[StatTestResult]
         raise ValueError("points must be an (n, d) array with d >= 2")
     if not np.isfinite(pts).all():
         raise ValueError("points must be finite; a NaN or infinite point has no direction")
-    norms = np.linalg.norm(pts, axis=1)
+    norms = np.sqrt(_row_norms2(pts))
     if not (norms > 0.0).all():
         raise ValueError("zero vector encountered; directions are undefined")
     d = pts.shape[1]
-    level = alpha / d
     # one unit-vector coordinate at a time, not the whole (n, d) unit array
     return [
-        ks_test(pts[:, k] / norms, lambda t: sphere_coord_cdf(t, d), alpha=level,
+        ks_test(pts[:, k] / norms, lambda t: sphere_coord_cdf(t, d), alpha=alpha / d,
                 name=f"axis_{k + 1}")
         for k in range(d)
     ]

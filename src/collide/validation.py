@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from . import analytic, stats
+from . import analytic, specfun, stats
 from .geometry import Ball, Ellipsoid, VelocityPair, collision_time, com_split
 from .montecarlo import SimConfig, _hits, run_conditional, run_naive
 from .rng import BLOCK, block_rng, check_seed, offset_seed
@@ -239,13 +239,11 @@ def suite_location(alpha: float = 0.01, seed: int = 42) -> list[dict]:
     r = 0.3
     points = run_conditional(SimConfig(shape=Ball(radius=r, dim=1), n=10**5,
                                        seed=seed, sampler="conditional")).location_samples[:, 0]
-    scale = 1.0 - r
-    res = stats.ks_test(
-        points, lambda x: 0.5 + np.arctan(x / scale) / math.pi,
-        alpha=alpha, name="line_contact_cauchy")
+    res = stats.ks_test(points, lambda x: 2.0 * analytic.cauchy_cdf_1d(x, r),
+                        alpha=alpha, name="line_contact_cauchy")
     del points
     checks.append(_from_stat("line_contact_cauchy", res,
-                             f"d=1 conditional contact points vs Cauchy(0, {scale})"))
+                             f"d=1 conditional contact points vs Cauchy(0, {1.0 - r})"))
 
     # r=0.01 is close to, not at, the r->0 law; the leftover bias eats most
     # of the KS slack at this n, so each d gets its own stream offset with
@@ -256,8 +254,8 @@ def suite_location(alpha: float = 0.01, seed: int = 42) -> list[dict]:
                                       sampler="conditional")).location_samples
         sq = np.einsum("ij,ij->i", c, c)
         del c
-        res = stats.ks_test(sq, lambda x: analytic.radial_cdf_conditional(np.sqrt(x), d),
-                            alpha=alpha, name=f"radial_f_law_d{d}")
+        res = stats.ks_test(sq, lambda x: specfun.f_cdf(x, d, d), alpha=alpha,
+                            name=f"radial_f_law_d{d}")
         del sq
         checks.append(_from_stat(f"radial_f_law_d{d}", res,
                                  f"squared contact radii vs F({d},{d}) at r=0.01"))

@@ -1,6 +1,7 @@
 """Simulation engines: sampling laws, determinism, retention, serialization."""
 
 import itertools
+import json
 import math
 import os
 import pathlib
@@ -16,6 +17,7 @@ import scipy.special
 import scipy.stats
 
 import collide.montecarlo as mc
+from collide import cli
 from collide.analytic import collision_prob_exact
 from collide.geometry import Ball, Ellipsoid, VelocityPair, collision_time, com_split
 from collide.montecarlo import (
@@ -582,10 +584,9 @@ class TestRetention:
                                     workers=workers, sample_cap=500), dump=out)
         assert acc.sample_trial.size == 500 < acc.collisions
         dump = load_sample_csv(out)
-        hits = np.flatnonzero(dump.collided)[:500]
-        np.testing.assert_array_equal(acc.sample_trial, dump.trial[hits])
-        np.testing.assert_array_equal(acc.sample_time, dump.times[hits])
-        np.testing.assert_array_equal(acc.sample_location, dump.locations[hits])
+        assert (dump.trials, dump.collisions) == (acc.trials, acc.collisions)
+        for field in SAMPLE_FIELDS:
+            np.testing.assert_array_equal(getattr(acc, field), getattr(dump, field)[:500])
 
     def test_counts_exact_under_cap(self):
         acc = run_naive(ball_config(n=20_000, seed=22, sample_cap=1))
@@ -849,15 +850,11 @@ class TestCsvRoundtrip:
         cfg = ball_config(n=4_000, seed=31)
         acc = run_naive(cfg, dump=path)
         dump = load_sample_csv(path)
-        assert len(dump.trial) == 4_000
-        assert dump.collided.sum() == acc.collisions
+        assert dump.trials == 4_000
+        assert dump.collisions == acc.collisions
         # collided rows carry exact round-trip floats
-        hit = dump.collided
-        np.testing.assert_array_equal(dump.times[hit], acc.sample_time)
-        np.testing.assert_array_equal(dump.locations[hit], acc.sample_location)
-        # misses have empty fields, parsed as NaN
-        assert np.all(np.isnan(dump.times[~hit]))
-        assert np.all(np.isnan(dump.locations[~hit]))
+        for field in SAMPLE_FIELDS:
+            np.testing.assert_array_equal(getattr(dump, field), getattr(acc, field))
 
     def test_header_and_flags(self, tmp_path):
         path = tmp_path / "dump.csv"
@@ -875,8 +872,9 @@ class TestCsvRoundtrip:
         run_conditional(ball_config(n=200, seed=33, sampler="conditional"),
                         dump=path)
         dump = load_sample_csv(path)
-        assert bool(dump.collided.all())
-        assert np.all(np.isfinite(dump.times))
+        assert dump.collisions == dump.trials == 200
+        np.testing.assert_array_equal(dump.sample_trial, np.arange(200))
+        assert np.all(np.isfinite(dump.sample_time))
 
     @pytest.mark.parametrize("row, problem", [
         ("0,TRUE,1.0,2.0,3.0", "collided field"),
@@ -889,6 +887,12 @@ class TestCsvRoundtrip:
         ("0,true,1.0,2.0", "fields"),
         ('0,"true",1.0,2.0,3.0', "collided field"),
         ("0,true,abc,2.0,3.0", r"bad\.csv: could not convert string to float: 'abc'"),
+        # float() reads these; %.17g never writes them
+        ("0,true,1_0,2.0,3.0", r"bad\.csv: a hit row has a number the writer does not write"),
+        ("0,true, 1.5,2.0,3.0", r"bad\.csv: a hit row has a number the writer does not write"),
+        ("0,true,1.5 ,2.0,3.0", r"bad\.csv: a hit row has a number the writer does not write"),
+        ("0,true,1.0,\t2,3.0", r"bad\.csv: a hit row has a number the writer does not write"),
+        ("0,true,1.0,2.0,\u0661", r"bad\.csv: a hit row has a number the writer does not write"),
     ])
     def test_load_refuses_malformed_rows(self, tmp_path, row, problem):
         path = tmp_path / "bad.csv"
@@ -933,8 +937,9 @@ class TestCsvRoundtrip:
         run_naive(ball_config(n=300, seed=35), dump=lf)
         crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
         a, b = load_sample_csv(lf), load_sample_csv(crlf)
-        assert a.collided.any() and not a.collided.all()
-        for field in ("trial", "collided", "times", "locations"):
+        assert 0 < a.collisions < a.trials == 300
+        assert (a.trials, a.collisions) == (b.trials, b.collisions)
+        for field in SAMPLE_FIELDS:
             np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
 
     def test_dump_of_blocks_without_collisions(self, tmp_path):
@@ -946,7 +951,65 @@ class TestCsvRoundtrip:
                                     workers=2), dump=path)
         assert acc.collisions == 0
         dump = load_sample_csv(path)
-        np.testing.assert_array_equal(dump.trial, np.arange(n))
-        assert not dump.collided.any()
-        assert dump.locations.shape == (n, 6)
-        assert np.isnan(dump.times).all() and np.isnan(dump.locations).all()
+        assert (dump.trials, dump.collisions) == (n, 0)
+        assert dump.sample_location.shape == (0, 6)
+        for field in SAMPLE_FIELDS:
+            x, y = getattr(dump, field), getattr(acc, field)
+            assert x.dtype == y.dtype and x.shape == y.shape
+
+    @pytest.mark.parametrize("sampler", ["naive", "conditional"])
+    @pytest.mark.parametrize("d", [1, 2, 6])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_dump_loads_as_the_uncapped_run(self, tmp_path, capsys, sampler, d, workers):
+        # three blocks and a short last one, dumped by `simulate --out`: the
+        # dump loads as the library run with no cap, field for field and bit
+        # for bit, and reports what simulate reported
+        n, path = 3 * BLOCK + 5, tmp_path / "dump.csv"
+        assert cli.main(["simulate", "--d", str(d), "--r", "0.5", "--n", str(n), "--seed", "36",
+                         "--sampler", sampler, "--workers", str(workers),
+                         "--out", str(path)]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        acc = run(ball_config(shape=Ball(radius=0.5, dim=d), n=n, seed=36, sampler=sampler,
+                              workers=workers, sample_cap=n))
+        dump = load_sample_csv(path)
+        assert 0 < dump.collisions == acc.collisions and dump.trials == acc.trials == n
+        for field in SAMPLE_FIELDS:
+            x, y = getattr(dump, field), getattr(acc, field)
+            assert x.dtype == y.dtype and x.shape == y.shape
+            assert x.tobytes() == y.tobytes(), field
+        del results["retained_samples"]
+        assert proportion_report(dump, seed=36, sampler=sampler).to_json() == results
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                        reason="needs the process's own high-water RSS (VmHWM)")
+    def test_fresh_process_load_holds_one_block_of_lines(self, tmp_path):
+        # VmHWM growth of a fresh process that has already loaded a one-block
+        # dump, from loading a dump of 40 blocks and more: at most twice its
+        # hits (each block's columns, then their concatenation) and a few MB,
+        # not its 327k lines as strings (36 MB when the whole file was read)
+        small, big = tmp_path / "small.csv", tmp_path / "big.csv"
+        run_naive(ball_config(n=BLOCK, seed=37, workers=1), dump=small)
+        run_naive(ball_config(n=40 * BLOCK + 100, seed=37, workers=1), dump=big)
+        script = textwrap.dedent(f"""
+            from collide.montecarlo import load_sample_csv
+
+            def peak_rss():
+                with open("/proc/self/status") as fh:
+                    line = next(l for l in fh if l.startswith("VmHWM:"))
+                return int(line.split()[1]) * 1024
+
+            load_sample_csv({str(small)!r})
+            base = peak_rss()
+            acc = load_sample_csv({str(big)!r})
+            kept = sum(a.nbytes for a in (acc.sample_trial, acc.sample_time,
+                                          acc.sample_location))
+            print(peak_rss() - base, kept, acc.trials)
+        """)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(pathlib.Path(mc.__file__).parents[1])] +
+            [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        done = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                              capture_output=True, text=True)
+        growth, kept, rows = map(int, done.stdout.split())
+        assert rows == 40 * BLOCK + 100 and kept > 2**20
+        assert growth <= 2 * kept + 4 * 2**20, (growth, kept)

@@ -1,6 +1,7 @@
 """Hypothesis tests and interval estimates: calibration, power, coverage."""
 
 import math
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -201,6 +202,20 @@ class TestAngularUniformity:
         for k, res in enumerate(angular_uniformity_test(pts)):
             want = ks_test(unit[:, k], lambda t: sphere_coord_cdf(t, 3), alpha=0.01 / 3)
             assert (res.statistic, res.p_value) == (want.statistic, want.p_value)
+
+    def test_memory_follows_its_data(self):
+        # d = 2 at the rotation suite's n: the norms, one unit coordinate and
+        # ks_test's four n-length arrays, 4.8 MB traced (5.4 MB when the
+        # norms came from an (n, 2) array of squares and the sphere law
+        # formed its argument at full length)
+        pts = np.random.default_rng(15).standard_normal((10**5, 2))
+        tracemalloc.start()
+        try:
+            angular_uniformity_test(pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5.0e6, peak
 
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):

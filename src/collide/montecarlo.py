@@ -15,9 +15,7 @@ Two samplers share one reproducibility contract:
   multiply conditional expectations by the collision probability to
   recover unconditional ones.  At d >= 4 a direction is built from
   Gaussian normals, whose squared norm is independent of it, and the
-  trial's speed reuses that norm (see ``sample_relative_speed``); this
-  moved the conditional streams at d >= 4, while the d <= 3 and naive
-  streams are those of earlier versions.
+  trial's speed reuses that norm (see ``sample_relative_speed``).
 
 Reproducibility: trials are processed in fixed blocks of ``rng.BLOCK``;
 block i draws from a Philox stream keyed by (seed, i).  The result is a
@@ -29,10 +27,10 @@ collision indicators, never on the times or locations, and trials are
 i.i.d., so the kept (time, location) rows are an i.i.d. sample of the
 law given a collision, whatever the worker count.
 
-Memory: a block returns one record, the tally of its collisions.  Tallies
-are folded into the sample store in trial order as blocks finish, with at
-most 2 x workers blocks in flight, and a dump writes a block's rows (its
-misses are the trials its tally does not list) as the block comes up.
+Memory: a block returns one record, the tally of its collisions.  ``_drive``
+folds tallies into the sample store in trial order as blocks finish, with
+at most 2 x workers blocks in flight, and writes each block's rows to the
+dump (its misses are the trials its tally does not list) as it folds them.
 The store reserves address space for min(sample_cap, n) rows once and
 writes each retained sample once; that space becomes resident only as
 rows arrive.  Peak memory is therefore at most sample_cap retained rows
@@ -49,8 +47,8 @@ import math
 import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing, nullcontext
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -447,28 +445,26 @@ def _block_outputs(config: SimConfig, block_fn, spans, workers: int):
 
 
 class _SampleStore:
-    """The first ``cap`` collisions of a stream of block tallies, in one column store.
+    """The first ``rows`` collisions of a stream of block tallies, in one column store.
 
     Blocks arrive in trial order, so copying each block's rows in after the
     last keeps the store (trial, time and location columns) sorted by trial;
-    once it holds ``cap`` rows, later blocks only add to the counts.  A run of
-    n trials has at most n collisions, so each column is allocated once, for
-    min(cap, n) rows, and each sample is written once.  The
+    once its columns are full, later blocks only add to the counts.  A run
+    takes rows = min(sample_cap, n), since it has at most n collisions, so
+    each column is allocated once and each sample is written once.  The
     operating system maps a page only when it is first written, so resident
     memory follows the rows that arrive; ``result`` gives back the rows never
     written.
     """
 
-    def __init__(self, dim: int, cap: int, n: int) -> None:
-        self.cap = cap
-        rows = min(cap, n)
+    def __init__(self, dim: int, rows: int) -> None:
         self.trials = self.collisions = self.size = 0
         self.columns = [np.empty(rows, dtype=np.int64), np.empty(rows), np.empty((rows, dim))]
 
     def add(self, tally: Accumulator) -> None:
         self.trials += tally.trials
         self.collisions += tally.collisions
-        take = min(self.cap - self.size, tally.sample_trial.size)
+        take = min(len(self.columns[0]) - self.size, tally.sample_trial.size)
         end = self.size + take
         parts = (tally.sample_trial, tally.sample_time, tally.sample_location)
         for column, part in zip(self.columns, parts):
@@ -476,12 +472,11 @@ class _SampleStore:
         self.size = end
 
     def result(self) -> Accumulator:
-        if self.columns[0].shape[0] > self.size + self.size // 4:
-            # no view of the store is alive here, so each buffer can shrink
-            # in place (realloc) instead of being copied next to itself
-            for column in self.columns:
-                column.resize((self.size,) + column.shape[1:], refcheck=False)
-        trial, times, locations = (column[:self.size] for column in self.columns)
+        # no view of the store is alive here, so each buffer shrinks in place
+        # (realloc) instead of being copied next to itself
+        for column in self.columns:
+            column.resize((self.size,) + column.shape[1:], refcheck=False)
+        trial, times, locations = self.columns
         return Accumulator(
             trials=self.trials, collisions=self.collisions,
             sample_trial=trial, sample_time=times, sample_location=locations,
@@ -492,24 +487,18 @@ def _drive(config: SimConfig, block_fn, dump) -> Accumulator:
     workers = _resolve_workers(config.workers, -(-config.n // BLOCK))
     # a block's tally holds every collision of the block; the cap applies
     # here, so no caller sees a tally over it
-    store = _SampleStore(config.dim, config.sample_cap, config.n)
-    tallies = _block_outputs(config, block_fn, block_spans(config.n), workers)
-
-    def stored():
+    store = _SampleStore(config.dim, min(config.sample_cap, config.n))
+    # a dump is opened before the first block runs, so an unwritable path
+    # fails at once; closing the block stream cancels the blocks not yet
+    # started when a write raises (a block that raises closes the stream)
+    with (open(dump, "w", newline="") if dump is not None else nullcontext() as fh,
+          closing(_block_outputs(config, block_fn, block_spans(config.n), workers)) as tallies):
+        if fh is not None:
+            fh.write(_csv_header(config.dim) + "\n")
         for tally in tallies:
+            if fh is not None:
+                fh.write(_csv_rows(tally, store.trials, config.dim))
             store.add(tally)
-            yield tally
-
-    try:
-        if dump is None:
-            for _ in stored():
-                pass
-        else:
-            # opens the file before the first block runs, then writes each
-            # block's rows as that block comes up in trial order
-            _write_sample_csv(dump, config.dim, stored())
-    finally:
-        tallies.close()
     return store.result()
 
 
@@ -559,29 +548,18 @@ def _csv_header(dim: int) -> str:
     return ",".join(["trial", "collided", "t"] + [f"c_{i + 1}" for i in range(dim)])
 
 
-def _write_sample_csv(path, dim: int, tallies: Iterable[Accumulator]) -> None:
-    """Writes one CSV row per trial to ``path``: trial,collided,t,c_1,...,c_d.
-
-    ``tallies`` are a run's block tallies in trial order, each holding
-    every collision of its block; blocks are consecutive from trial 0, so
-    the trials a tally does not list are its block's misses, which leave
-    the time and location fields empty.  A run's capped Accumulator is not
-    such a tally: its collisions past the cap would be written as misses.
-    """
-    with open(path, "w", newline="") as fh:
-        fh.write(_csv_header(dim) + "\n")
-        # %.17g round-trips every double; a miss leaves t and c empty
-        hit_row = "%d,true," + ",".join(["%.17g"] * (dim + 1))
-        miss_tail = ",false," + "," * dim
-        first = 0
-        for tally in tallies:
-            # every trial of the block a miss, then its collisions written over
-            lines = [f"{i}{miss_tail}" for i in range(first, first + tally.trials)]
-            for row in zip(tally.sample_trial.tolist(), tally.sample_time.tolist(),
-                           *tally.sample_location.T.tolist()):
-                lines[row[0] - first] = hit_row % row
-            first += tally.trials
-            fh.write("\n".join(lines) + "\n")
+def _csv_rows(tally: Accumulator, first: int, dim: int) -> str:
+    """CSV rows of a block whose trials start at ``first``; the trials its
+    tally (every collision of the block) does not list are its misses."""
+    # %.17g round-trips every double; a miss leaves t and c empty
+    hit_row = "%d,true," + ",".join(["%.17g"] * (dim + 1))
+    miss_tail = ",false," + "," * dim
+    # every trial of the block a miss, then its collisions written over
+    lines = [f"{i}{miss_tail}" for i in range(first, first + tally.trials)]
+    for row in zip(tally.sample_trial.tolist(), tally.sample_time.tolist(),
+                   *tally.sample_location.T.tolist()):
+        lines[row[0] - first] = hit_row % row
+    return "\n".join(lines) + "\n"
 
 
 def load_sample_csv(path) -> Accumulator:

@@ -628,8 +628,12 @@ class TestStreamedDrive:
         with pytest.raises(ValueError):
             block_spans(-1)
 
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_failing_block_stops_the_run(self, workers):
+    @pytest.mark.parametrize("workers, dump", [
+        pytest.param(w, dump, id=f"dump-{w}" if dump else str(w))
+        for dump in (False, True) for w in (1, 2, 3)])
+    def test_failing_block_stops_the_run(self, tmp_path, workers, dump):
+        # with a dump, the rows of the blocks before the failing one stay
+        # written: the file is a clean dump of those trials, byte for byte
         started, threads = [], set()
 
         def block_fn(config, span):
@@ -640,11 +644,16 @@ class TestStreamedDrive:
             return mc._naive_block(config, span)
 
         cfg = ball_config(n=40 * BLOCK, seed=26, workers=workers, sample_cap=100)
+        path = tmp_path / "partial.csv" if dump else None
         with pytest.raises(RuntimeError, match="block 5 failed"):
-            mc._drive(cfg, block_fn, None)
+            mc._drive(cfg, block_fn, path)
         assert 5 in started
         assert len(started) <= 5 + 2 * workers
         assert not any(t.is_alive() for t in threads if t is not threading.main_thread())
+        if dump:
+            clean = tmp_path / "clean.csv"
+            run_naive(ball_config(n=5 * BLOCK, seed=26, workers=1), dump=clean)
+            assert path.read_bytes() == clean.read_bytes()
 
     def test_unwritable_dump_fails_before_any_block(self, monkeypatch):
         calls = []
@@ -662,18 +671,12 @@ class TestStreamedDrive:
     @pytest.mark.parametrize("dump", [False, True])
     def test_peak_memory_independent_of_n(self, monkeypatch, tmp_path, workers, dump):
         # tracemalloc sees numpy's buffers; an 8x longer run must not need
-        # more than 1.5x the memory.  With a dump, each block's tally goes
-        # to the file as raw columns: traced, the CSV writer's per-row strings
-        # take about 10x its untraced second for these 590k rows, and its
+        # more than 1.5x the memory.  With a dump, each block's rows go to
+        # the file as one short line: traced, the CSV rows' per-row strings
+        # take about 10x their untraced second for these 590k rows, and their
         # memory is one block's lines whatever n is.
-
-        def raw_sink(path, dim, tallies):
-            with open(path, "wb") as fh:
-                for tally in tallies:
-                    for field in SAMPLE_FIELDS:
-                        getattr(tally, field).tofile(fh)
-
-        monkeypatch.setattr(mc, "_write_sample_csv", raw_sink)
+        monkeypatch.setattr(mc, "_csv_rows",
+                            lambda tally, first, dim: f"{first},{tally.collisions}\n")
 
         def traced_peak(n):
             cfg = ball_config(n=n, seed=27, workers=workers, sample_cap=1000)

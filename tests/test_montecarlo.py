@@ -655,6 +655,33 @@ class TestStreamedDrive:
             run_naive(ball_config(n=5 * BLOCK, seed=26, workers=1), dump=clean)
             assert path.read_bytes() == clean.read_bytes()
 
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_failing_write_stops_the_run(self, monkeypatch, tmp_path, workers):
+        # a dump write that raises closes the block stream: the blocks not
+        # yet started are cancelled and the running ones awaited, so no
+        # worker thread outlives the error, even while the caller holds it
+        # (its traceback holds the stream)
+        threads = set()
+        write_rows = mc._csv_rows
+
+        def block_fn(config, span):
+            threads.add(threading.current_thread())
+            return mc._naive_block(config, span)
+
+        def failing_rows(tally, first, dim):
+            if first == 3 * BLOCK:
+                raise OSError("write of block 3 failed")
+            return write_rows(tally, first, dim)
+
+        monkeypatch.setattr(mc, "_csv_rows", failing_rows)
+        cfg = ball_config(n=40 * BLOCK, seed=26, workers=workers, sample_cap=100)
+        with pytest.raises(OSError, match="write of block 3 failed") as raised:
+            mc._drive(cfg, block_fn, tmp_path / "partial.csv")
+        assert raised.tb is not None
+        workers_seen = [t for t in threads if t is not threading.main_thread()]
+        assert workers_seen
+        assert not any(t.is_alive() for t in workers_seen)
+
     def test_unwritable_dump_fails_before_any_block(self, monkeypatch):
         calls = []
 

@@ -8,7 +8,10 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from collide.specfun import kolmogorov_sf
+from collide.geometry import Ball
+from collide.montecarlo import SimConfig, run_conditional
+from collide.rng import offset_seed
+from collide.specfun import f_cdf, kolmogorov_sf
 from collide.stats import (
     StatTestResult,
     angular_uniformity_test,
@@ -75,7 +78,9 @@ class TestKsTest:
             with pytest.raises(ValueError, match="non-finite"):
                 ks_test(np.linspace(0.1, 0.9, 20), cdf)
 
-    def test_cdf_called_once_on_sorted_array(self):
+    def test_cdf_called_on_sorted_subsequences(self):
+        # at most two calls, each on a proper ascending subsequence of the
+        # sorted samples; the first (the nodes) holds both extremes
         calls = []
 
         def uniform(x):
@@ -84,8 +89,14 @@ class TestKsTest:
 
         samples = np.random.default_rng(4).random(50)
         ks_test(samples, uniform)
-        assert len(calls) == 1
-        np.testing.assert_array_equal(calls[0], np.sort(samples))
+        xs = np.sort(samples)
+        assert 1 <= len(calls) <= 2
+        for arg in calls:
+            pos = np.searchsorted(xs, arg)
+            np.testing.assert_array_equal(xs[pos], arg)
+            assert arg.size < xs.size
+            assert (np.diff(pos) > 0).all()
+        assert calls[0][0] == xs[0] and calls[0][-1] == xs[-1]
 
     @pytest.mark.parametrize("cdf", [lambda x: 0.5, lambda x: x[:-1], lambda x: x[:, None]])
     def test_wrong_cdf_shape_rejected(self, cdf):
@@ -114,6 +125,57 @@ class TestKsTest:
         assert res.statistic == stat
         assert res.p_value == kolmogorov_sf(math.sqrt(n) * stat)
         np.testing.assert_array_equal(samples, before)
+
+    @pytest.mark.parametrize("case", [
+        *(f"n{n}" for n in (10, 31, 32, 33, 64, 65, 10_001)),
+        "ties", "flat_runs", "inside_gap", "location_f33"])
+    def test_bounded_nodes_give_the_full_array_result(self, case):
+        # the cdf is read at every 32nd order statistic and in the gaps the
+        # bound cannot rule out; the statistic and p-value are still those
+        # of evaluating every order statistic, bit for bit
+        g = np.random.default_rng(22)
+        cauchy = lambda x: 0.5 + np.arctan(x) / math.pi
+        uniform = lambda x: np.clip(x, 0.0, 1.0)
+        if case.startswith("n"):
+            samples, cdf = g.standard_cauchy(int(case[1:])), cauchy
+        elif case == "ties":
+            samples, cdf = np.round(g.standard_cauchy(10_001)), cauchy
+        elif case == "flat_runs":
+            # a third of the samples lie outside [0, 1], where F is 0 or 1
+            samples, cdf = g.normal(0.5, 0.5, 10_001), uniform
+        elif case == "inside_gap":
+            # a midpoint grid, D = 0.5/n, but order statistics 0-31 tie at
+            # 0.5/n: D+ = 31.5/n at 31, inside the first gap, and the gap's
+            # bound is that very value.  33-64 tie 1e-8 above 33.5/n, so
+            # the nodes' largest deviation (at 64) is 1e-8 below it
+            n = 1000
+            samples = (np.arange(n) + 0.5) / n
+            samples[:32] = 0.5 / n
+            samples[33:65] = 33.5 / n + 1e-8
+            samples, cdf = g.permutation(samples), uniform
+        else:
+            c = run_conditional(SimConfig(shape=Ball(radius=0.01, dim=3), n=10**5,
+                                          seed=offset_seed(42, 6),
+                                          sampler="conditional")).location_samples
+            samples, cdf = np.einsum("ij,ij->i", c, c), lambda x: f_cdf(x, 3, 3)
+        res = ks_test(samples, cdf)
+        f = cdf(np.sort(samples))
+        n = f.size
+        grid = np.arange(1, n + 1, dtype=float) / n
+        dev = np.maximum(grid - f, f - (grid - 1.0 / n))
+        stat = max(float(np.max(dev)), 0.0)
+        if case == "inside_gap":
+            assert int(np.argmax(dev)) == 31
+        assert res.statistic == stat
+        assert res.p_value == kolmogorov_sf(math.sqrt(n) * stat)
+
+    def test_decreasing_cdf_rejected(self):
+        # a cdf 1e-6 lower at the second node (order statistic 32) than at
+        # the first breaks the monotonicity that bounds the skipped points
+        samples = np.linspace(0.1, 0.9, 100)
+        dip = lambda x: np.where(x == samples[32], 0.5 - 1e-6, 0.5)
+        with pytest.raises(ValueError, match="nondecreasing"):
+            ks_test(samples, dip)
 
     def test_json_fields(self):
         res = ks_test(np.linspace(0.001, 0.999, 100), lambda x: x, name="u")

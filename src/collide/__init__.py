@@ -11,7 +11,6 @@ from .analytic import (
     conditional_location_density,
     location_coefficient,
     location_density_limit,
-    radial_cdf_conditional,
     unit_sphere_area,
 )
 from .geometry import (
@@ -27,7 +26,6 @@ from .montecarlo import (
     Accumulator,
     SimConfig,
     load_sample_csv,
-    proportion_report,
     run,
     run_conditional,
     run_naive,
@@ -47,7 +45,6 @@ __all__ = [
     "location_coefficient",
     "location_density_limit",
     "conditional_location_density",
-    "radial_cdf_conditional",
     "cauchy_cdf_1d",
     "unit_sphere_area",
     "Ball",
@@ -62,7 +59,6 @@ __all__ = [
     "run",
     "run_naive",
     "run_conditional",
-    "proportion_report",
     "log_gamma",
     "reg_inc_beta",
     "f_cdf",

@@ -27,7 +27,6 @@ __all__ = [
     "location_coefficient",
     "location_density_limit",
     "conditional_location_density",
-    "radial_cdf_conditional",
     "cauchy_cdf_1d",
     "unit_sphere_area",
 ]
@@ -164,19 +163,6 @@ def conditional_location_density(x, d: int):
     nsq = _norm_sq(x, d)
     ratio = _normalizer(log_gamma(float(d)) - log_gamma(0.5 * d), d)
     return _float_or_array(ratio * math.pi ** (-0.5 * d) * _kernel_power(nsq, -d))
-
-
-def radial_cdf_conditional(a, d: int):
-    """P(|C| <= a) for the conditional limit location C: |C|^2 is F(d, d).
-
-    Elementwise for array a, with ``f_cdf``'s return convention.
-    """
-    a = np.asarray(a, dtype=float)
-    bad = ~(a >= 0.0)
-    if bad.any():
-        raise ValueError(f"radius bound must be >= 0, got {a[bad][0]}")
-    d = _check_dim(d)
-    return f_cdf(a * a, d, d)
 
 
 def cauchy_cdf_1d(x, r: float):

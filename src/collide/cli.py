@@ -22,8 +22,9 @@ import numpy as np
 
 from . import __version__, analytic, validation
 from .geometry import Ball
-from .montecarlo import DEFAULT_SAMPLE_CAP, SimConfig, proportion_report, run
+from .montecarlo import DEFAULT_SAMPLE_CAP, SimConfig, run
 from .rng import BLOCK
+from .stats import EstimateReport
 
 _EXIT_OK = 0
 _EXIT_VALIDATION = 1
@@ -63,7 +64,7 @@ def _cmd_simulate(args) -> dict:
         raise ValueError(f"--d {args.d} is too large: one block's draws, {rows} x {2 * args.d} "
                          f"doubles, cannot be allocated") from None
     acc = run(config, dump=args.out)
-    results = proportion_report(acc, seed=args.seed, sampler=args.sampler).to_json()
+    results = EstimateReport.from_counts(acc.collisions, acc.trials, args.seed, args.sampler).to_json()
     results["retained_samples"] = min(args.cap, acc.collisions)
     return results
 

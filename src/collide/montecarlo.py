@@ -37,7 +37,8 @@ rows arrive.  Peak memory is therefore at most sample_cap retained rows
 plus the blocks in flight (workers x BLOCK trials computing, and at most
 as many finished ones waiting their turn): independent of n, with or
 without a dump.  The sample CSV format, its writer and its reader
-``load_sample_csv`` (which holds one block of lines) live in this module alone.
+``load_sample_csv`` live in this module alone; the reader folds each block of
+lines into a sample store, so it holds one block's strings plus the hits, once.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from .analytic import _check_dim
 from .geometry import ShapeOracle
 from .rng import BLOCK, block_rng, block_spans, check_seed
 from .specfun import _require_int
-from .stats import EstimateReport, _row_norms2
+from .stats import _row_norms2
 
 __all__ = [
     "SimConfig",
@@ -66,7 +67,6 @@ __all__ = [
     "run_naive",
     "run_conditional",
     "run",
-    "proportion_report",
     "load_sample_csv",
 ]
 
@@ -534,11 +534,6 @@ def run(config: SimConfig, dump=None) -> Accumulator:
     return run_conditional(config, dump)
 
 
-def proportion_report(acc: Accumulator, seed: int, sampler: str) -> EstimateReport:
-    """Collision-fraction estimate with its confidence interval."""
-    return EstimateReport.from_counts(acc.collisions, acc.trials, seed, sampler)
-
-
 # ---------------------------------------------------------------------------
 # Sample CSV
 # ---------------------------------------------------------------------------
@@ -570,20 +565,21 @@ def load_sample_csv(path) -> Accumulator:
     commas; a hit (collided true) fills every field with a finite number as
     %.17g writes it.  Any other row is refused, quoted fields and ``05`` too.
     """
-    n, in_order = 0, True
+    in_order = True
     with open(path) as fh:
         header = next(fh, "").removesuffix("\n")
         d = header.count(",") - 2
         if d < 1 or header != _csv_header(d):
             raise ValueError(f"{path}: not a sample CSV (header {header!r})")
         miss_tail = ",false," + "," * d + "\n"
-        # each block's hit trials, times and locations
-        parts = [np.empty(0, dtype=np.int64)], [np.empty(0)], [np.empty((0, d))]
+        # a hit row has at least 2d + 9 characters, so the file's size bounds its hits;
+        # as for a run's min(sample_cap, n) rows, pages are mapped as hits arrive
+        store = _SampleStore(d, os.fstat(fh.fileno()).st_size // (2 * d + 9))
         # only rows unlike their miss row are split
         while block := list(itertools.islice(fh, BLOCK)):
             lines = np.array(block, dtype=object)
-            first, n = n, n + len(lines)
-            trials = np.array([str(i) for i in range(first, n)], dtype=object)
+            first = store.trials
+            trials = np.array([str(i) for i in range(first, first + len(lines))], dtype=object)
             odd = np.flatnonzero(lines != trials + miss_tail)
             widths = set(map(str.count, lines[odd], itertools.repeat(","))) - {2 + d}
             if widths:
@@ -612,13 +608,18 @@ def load_sample_csv(path) -> Accumulator:
                     raise ValueError("a hit row has a number the writer does not write")
             except ValueError as exc:
                 raise ValueError(f"{path}: {exc}") from None
-            for part, column in zip(parts, (first + odd[hit], values[:, 0], values[:, 1:])):
-                part.append(column)
-    trial, times, locations = map(np.concatenate, parts)
+            store.add(Accumulator(
+                trials=len(lines), collisions=len(values),
+                sample_trial=first + odd[hit], sample_time=values[:, 0], sample_location=values[:, 1:],
+            ))
+            # free the field strings, most of a block's memory, before the next are split
+            del cells, fields
+    acc = store.result()
+    if acc.sample_trial.size < acc.collisions:
+        raise ValueError(f"{path}: more hit rows than its size allows (a pipe, or a growing file)")
     # run once the rows are read, so a malformed row is named first
     if not in_order:
         raise ValueError(f"{path}: trial indices are not 0, 1, 2, ... in order")
-    if not (np.isfinite(times).all() and np.isfinite(locations).all()):
+    if not (np.isfinite(acc.sample_time).all() and np.isfinite(acc.sample_location).all()):
         raise ValueError(f"{path}: a hit row has a non-finite time or location")
-    return Accumulator(trials=n, collisions=int(trial.size), sample_trial=trial,
-                       sample_time=times, sample_location=locations)
+    return acc

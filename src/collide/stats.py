@@ -96,17 +96,6 @@ class EstimateReport:
         )
 
 
-def _make_result(name: str, statistic: float, p_value: float, n: int, alpha: float) -> StatTestResult:
-    return StatTestResult(
-        name=name,
-        statistic=float(statistic),
-        p_value=float(p_value),
-        n=int(n),
-        alpha=float(alpha),
-        passed=bool(p_value >= alpha),
-    )
-
-
 # ks_test reads the cdf at every _KS_STRIDE-th order statistic and the last
 # (the nodes), then only inside the gaps between nodes where the bound that
 # monotonicity gives reaches the nodes' largest deviation less _KS_MARGIN.
@@ -188,7 +177,8 @@ def ks_test(samples, cdf, alpha: float = 0.01, name: str = "ks") -> StatTestResu
     inner = inner[:np.searchsorted(inner, n - 1)]  # the last gap ends at n - 1
     if inner.size:
         stat = max(stat, _max_deviation(_checked_cdf(cdf, xs[inner]), inner, n))
-    return _make_result(name, stat, kolmogorov_sf(math.sqrt(n) * stat), n, alpha)
+    p, alpha = kolmogorov_sf(math.sqrt(n) * stat), float(alpha)
+    return StatTestResult(name, stat, p, n, alpha, p >= alpha)
 
 
 def _row_norms2(a: np.ndarray) -> np.ndarray:

@@ -14,7 +14,6 @@ from collide.analytic import (
     conditional_location_density,
     location_coefficient,
     location_density_limit,
-    radial_cdf_conditional,
     unit_sphere_area,
 )
 from collide.geometry import Ball
@@ -219,31 +218,6 @@ class TestDensities:
         with pytest.raises(OverflowError) as info:
             call()
         assert str(info.value) == message
-
-
-class TestRadialCdf:
-    def test_bounds_and_median(self):
-        for d in (1, 2, 3, 5):
-            assert radial_cdf_conditional(0.0, d) == 0.0
-            assert radial_cdf_conditional(1.0, d) == pytest.approx(0.5, abs=1e-13)
-            assert radial_cdf_conditional(math.inf, d) == 1.0
-
-    @pytest.mark.parametrize("d", [1, 2, 3, 4])
-    def test_matches_f_distribution(self, d):
-        for a in (0.1, 0.5, 1.0, 2.0, 7.0):
-            assert radial_cdf_conditional(a, d) == pytest.approx(
-                float(scipy.stats.f.cdf(a * a, d, d)), abs=1e-12)
-
-    def test_monotone(self):
-        vals = [radial_cdf_conditional(a / 10.0, 3) for a in range(0, 80)]
-        assert all(b >= a for a, b in zip(vals, vals[1:]))
-
-    def test_array_input(self):
-        a = np.array([0.0, 0.1, 1.0, 7.0, math.inf])
-        got = radial_cdf_conditional(a, 3)
-        np.testing.assert_allclose(got, scipy.stats.f.cdf(a * a, 3, 3), rtol=0.0, atol=1e-12)
-        with pytest.raises(ValueError):
-            radial_cdf_conditional(np.array([0.5, -0.1]), 3)
 
 
 class TestCauchyCdf1d:

@@ -23,7 +23,6 @@ from collide.geometry import Ball, Ellipsoid, VelocityPair, collision_time, com_
 from collide.montecarlo import (
     Accumulator,
     SimConfig,
-    proportion_report,
     run,
     run_conditional,
     run_naive,
@@ -32,7 +31,7 @@ from collide.montecarlo import (
     sample_relative_speed,
 )
 from collide.rng import BLOCK, block_rng, block_spans, offset_seed
-from collide.stats import ks_test
+from collide.stats import EstimateReport, ks_test
 
 
 def ball_config(**kw):
@@ -856,7 +855,7 @@ class TestSampleStore:
 class TestProportionReport:
     def test_fields(self):
         acc = run_naive(ball_config(n=10_000, seed=30))
-        rep = proportion_report(acc, seed=30, sampler="naive")
+        rep = EstimateReport.from_counts(acc.collisions, acc.trials, 30, "naive")
         assert rep.estimate == acc.collisions / acc.trials
         assert rep.successes == acc.collisions
         assert rep.trials == 10_000
@@ -868,10 +867,7 @@ class TestProportionReport:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            proportion_report(Accumulator(
-                trials=0, collisions=0,
-                sample_trial=np.empty(0, dtype=np.int64), sample_time=np.empty(0),
-                sample_location=np.empty((0, 2))), seed=0, sampler="naive")
+            EstimateReport.from_counts(0, 0, 0, "naive")
 
 
 class TestCsvRoundtrip:
@@ -966,11 +962,39 @@ class TestCsvRoundtrip:
         lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
         run_naive(ball_config(n=300, seed=35), dump=lf)
         crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
-        a, b = load_sample_csv(lf), load_sample_csv(crlf)
+        a = load_sample_csv(lf)
         assert 0 < a.collisions < a.trials == 300
-        assert (a.trials, a.collisions) == (b.trials, b.collisions)
-        for field in SAMPLE_FIELDS:
-            np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
+        # CR-only endings too: the loader reads with universal newlines
+        cr = tmp_path / "cr.csv"
+        cr.write_bytes(lf.read_bytes().replace(b"\n", b"\r"))
+        for b in map(load_sample_csv, (crlf, cr)):
+            assert (a.trials, a.collisions) == (b.trials, b.collisions)
+            for field in SAMPLE_FIELDS:
+                np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_dump_read_through_a_pipe_is_refused(self, tmp_path):
+        # a pipe has no size to bound its hits, so the loader refuses it
+        # rather than return fewer samples than it counts collisions
+        dump, pipe = tmp_path / "dump.csv", tmp_path / "pipe.csv"
+        run_naive(ball_config(n=300, seed=35), dump=dump)
+        os.mkfifo(pipe)
+
+        def feed():
+            try:
+                with open(pipe, "wb") as fh:
+                    fh.write(dump.read_bytes())
+            except BrokenPipeError:
+                pass
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        with pytest.raises(ValueError) as raised:
+            load_sample_csv(pipe)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert str(raised.value).startswith(f"{pipe}: "), raised.value
+        assert "hit rows" in str(raised.value)
 
     def test_dump_of_blocks_without_collisions(self, tmp_path):
         # a d = 6 ball of radius 1e-3 is hit with probability 1.7e-16, so
@@ -1008,38 +1032,49 @@ class TestCsvRoundtrip:
             assert x.dtype == y.dtype and x.shape == y.shape
             assert x.tobytes() == y.tobytes(), field
         del results["retained_samples"]
-        assert proportion_report(dump, seed=36, sampler=sampler).to_json() == results
+        assert EstimateReport.from_counts(dump.collisions, dump.trials, 36, sampler).to_json() == results
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
                         reason="needs the process's own high-water RSS (VmHWM)")
     def test_fresh_process_load_holds_one_block_of_lines(self, tmp_path):
         # VmHWM growth of a fresh process that has already loaded a one-block
-        # dump, from loading a dump of 40 blocks and more: at most twice its
-        # hits (each block's columns, then their concatenation) and a few MB,
-        # not its 327k lines as strings (36 MB when the whole file was read)
-        small, big = tmp_path / "small.csv", tmp_path / "big.csv"
-        run_naive(ball_config(n=BLOCK, seed=37, workers=1), dump=small)
-        run_naive(ball_config(n=40 * BLOCK + 100, seed=37, workers=1), dump=big)
-        script = textwrap.dedent(f"""
-            from collide.montecarlo import load_sample_csv
-
-            def peak_rss():
-                with open("/proc/self/status") as fh:
-                    line = next(l for l in fh if l.startswith("VmHWM:"))
-                return int(line.split()[1]) * 1024
-
-            load_sample_csv({str(small)!r})
-            base = peak_rss()
-            acc = load_sample_csv({str(big)!r})
-            kept = sum(a.nbytes for a in (acc.sample_trial, acc.sample_time,
-                                          acc.sample_location))
-            print(peak_rss() - base, kept, acc.trials)
-        """)
+        # dump, from loading a dump of 40 blocks and more: its hits and a few
+        # MB, not its 327k lines as strings (36 MB when the whole file was read)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [str(pathlib.Path(mc.__file__).parents[1])] +
             [p for p in [os.environ.get("PYTHONPATH")] if p]))
-        done = subprocess.run([sys.executable, "-c", script], env=env, check=True,
-                              capture_output=True, text=True)
-        growth, kept, rows = map(int, done.stdout.split())
+
+        def load_growth(sampler, radius):
+            small, big = tmp_path / f"small-{sampler}.csv", tmp_path / f"big-{sampler}.csv"
+            shape = Ball(radius=radius, dim=2 if sampler == "naive" else 3)
+            run(ball_config(shape=shape, n=BLOCK, seed=37, sampler=sampler, workers=1), dump=small)
+            run(ball_config(shape=shape, n=40 * BLOCK + 100, seed=37, sampler=sampler, workers=1),
+                dump=big)
+            script = textwrap.dedent(f"""
+                from collide.montecarlo import load_sample_csv
+
+                def peak_rss():
+                    with open("/proc/self/status") as fh:
+                        line = next(l for l in fh if l.startswith("VmHWM:"))
+                    return int(line.split()[1]) * 1024
+
+                load_sample_csv({str(small)!r})
+                base = peak_rss()
+                acc = load_sample_csv({str(big)!r})
+                kept = sum(a.nbytes for a in (acc.sample_trial, acc.sample_time,
+                                              acc.sample_location))
+                print(peak_rss() - base, kept, acc.trials)
+            """)
+            done = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                                  capture_output=True, text=True)
+            return map(int, done.stdout.split())
+
+        growth, kept, rows = load_growth("naive", 0.5)
         assert rows == 40 * BLOCK + 100 and kept > 2**20
         assert growth <= 2 * kept + 4 * 2**20, (growth, kept)
+        # every row a hit: the hits are held once, as they are folded in, not
+        # again beside a concatenation of every block's columns (27.9-29.0 MB
+        # of growth for these 13.1 MB of hits, against 16.3-17.7 MB held once)
+        growth, kept, rows = load_growth("conditional", 0.3)
+        assert rows == 40 * BLOCK + 100 and kept == 40 * rows
+        assert growth <= kept + 10 * 2**20, (growth, kept)

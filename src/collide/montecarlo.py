@@ -37,8 +37,9 @@ rows arrive.  Peak memory is therefore at most sample_cap retained rows
 plus the blocks in flight (workers x BLOCK trials computing, and at most
 as many finished ones waiting their turn): independent of n, with or
 without a dump.  The sample CSV format, its writer and its reader
-``load_sample_csv`` live in this module alone; the reader folds each block of
-lines into a sample store, so it holds one block's strings plus the hits, once.
+``load_sample_csv`` live in this module alone.  The reader splits only the lines
+unlike their miss row, in one pass over each block of lines, and folds the
+block's hits into a sample store: it holds one block's strings plus the hits, once.
 """
 
 from __future__ import annotations
@@ -575,45 +576,38 @@ def load_sample_csv(path) -> Accumulator:
         # a hit row has at least 2d + 9 characters, so the file's size bounds its hits;
         # as for a run's min(sample_cap, n) rows, pages are mapped as hits arrive
         store = _SampleStore(d, os.fstat(fh.fileno()).st_size // (2 * d + 9))
-        # only rows unlike their miss row are split
         while block := list(itertools.islice(fh, BLOCK)):
-            lines = np.array(block, dtype=object)
-            first = store.trials
-            trials = np.array([str(i) for i in range(first, first + len(lines))], dtype=object)
-            odd = np.flatnonzero(lines != trials + miss_tail)
-            widths = set(map(str.count, lines[odd], itertools.repeat(","))) - {2 + d}
-            if widths:
-                raise ValueError(f"{path}: row has {widths.pop() + 1} fields, expected {3 + d}")
-            # each row's newline (the file's last row may have none) joins it to the next
-            text = "".join(lines[odd]).removesuffix("\n").replace("\n", ",")
-            cells = np.array(text.split(",") if odd.size else [], dtype=object).reshape(-1, 3 + d)
-            hit = cells[:, 1] == "true"
-            bad = ~hit & (cells[:, 1] != "false")
-            if bad.any():
-                raise ValueError(f"{path}: collided field {cells[bad, 1][0]!r} is not 'true' or 'false'")
-            # a hit fills every time and location field, a miss none of them
-            empty = cells[:, 2:] == ""
-            bad = np.where(hit, empty.any(axis=1), ~empty.all(axis=1))
-            if bad.any():
-                k = bad.argmax()
-                kind = "hit row with an empty" if hit[k] else "miss row with a filled"
-                raise ValueError(f"{path}: trial {cells[k, 0]}: {kind} time or location field")
-            in_order &= bool((cells[:, 0] == trials[odd]).all())
-            fields = cells[hit, 2:]
+            hits, fields = [], []
+            for i, line in enumerate(block, store.trials):
+                if line == f"{i}{miss_tail}":
+                    continue
+                row = line.removesuffix("\n").split(",")
+                if len(row) != 3 + d:
+                    raise ValueError(f"{path}: row has {len(row)} fields, expected {3 + d}")
+                hit = row[1] == "true"
+                if not hit and row[1] != "false":
+                    raise ValueError(f"{path}: collided field {row[1]!r} is not 'true' or 'false'")
+                # a hit fills every time and location field, a miss none of them
+                if ("" in row[2:]) if hit else any(row[2:]):
+                    kind = "hit row with an empty" if hit else "miss row with a filled"
+                    raise ValueError(f"{path}: trial {row[0]}: {kind} time or location field")
+                in_order &= row[0] == str(i)
+                if hit:
+                    hits.append(i)
+                    fields += row[2:]
             try:
-                values = fields.astype(float)
+                values = np.array(fields, dtype=float).reshape(-1, 1 + d)
                 # float() also reads whitespace, underscores and non-ASCII digits;
                 # beside what %.17g writes, only the non-finite words pass here
-                if "".join(fields.flat).encode().translate(None, b"0123456789+-.eEaAfFiInNtTyY"):
+                if "".join(fields).encode().translate(None, b"0123456789+-.eEaAfFiInNtTyY"):
                     raise ValueError("a hit row has a number the writer does not write")
             except ValueError as exc:
                 raise ValueError(f"{path}: {exc}") from None
-            store.add(Accumulator(
-                trials=len(lines), collisions=len(values),
-                sample_trial=first + odd[hit], sample_time=values[:, 0], sample_location=values[:, 1:],
-            ))
-            # free the field strings, most of a block's memory, before the next are split
-            del cells, fields
+            store.add(Accumulator(trials=len(block), collisions=len(hits),
+                                  sample_trial=np.array(hits, dtype=np.int64),
+                                  sample_time=values[:, 0], sample_location=values[:, 1:]))
+            # free this block's strings, so that the next block is not read beside them
+            del block, fields
     acc = store.result()
     if acc.sample_trial.size < acc.collisions:
         raise ValueError(f"{path}: more hit rows than its size allows (a pipe, or a growing file)")

@@ -1011,6 +1011,34 @@ class TestCsvRoundtrip:
             x, y = getattr(dump, field), getattr(acc, field)
             assert x.dtype == y.dtype and x.shape == y.shape
 
+    @pytest.mark.parametrize("end", ["\n", ""])
+    def test_header_only_dump_loads_as_a_run_without_trials(self, tmp_path, end):
+        path = tmp_path / "empty.csv"
+        path.write_text("trial,collided,t,c_1,c_2,c_3" + end)
+        dump = load_sample_csv(path)
+        assert dump.trials == dump.collisions == 0
+        assert dump.sample_location.shape == (0, 3)
+        acc = run_naive(ball_config(shape=Ball(radius=0.5, dim=3), n=10, sample_cap=0))
+        for field in SAMPLE_FIELDS:
+            x, y = getattr(dump, field), getattr(acc, field)
+            assert x.dtype == y.dtype and x.shape == y.shape
+
+    @pytest.mark.parametrize("i, row, problem", [
+        # the second block's fourth row has 4 fields
+        (BLOCK + 3, "{i},true,1.0,2.0", "row has 4 fields, expected 5"),
+        # the third block's fifth row names the trial after it
+        (2 * BLOCK + 4, "{next},false,,,", r"trial indices are not 0, 1, 2, \.\.\. in order"),
+    ])
+    def test_faults_past_the_first_block_are_refused(self, tmp_path, i, row, problem):
+        # well-formed rows, hits among them, around the faulty one, which lies
+        # inside its block and is followed by a whole block more
+        rows = [f"{k},true,0.5,1.5,-2.5" if k % 7 == 0 else f"{k},false,,," for k in range(i + BLOCK)]
+        rows[i] = row.format(i=i, next=i + 1)
+        path = tmp_path / "bad.csv"
+        path.write_text("trial,collided,t,c_1,c_2\n" + "\n".join(rows) + "\n")
+        with pytest.raises(ValueError, match=problem):
+            load_sample_csv(path)
+
     @pytest.mark.parametrize("sampler", ["naive", "conditional"])
     @pytest.mark.parametrize("d", [1, 2, 6])
     @pytest.mark.parametrize("workers", [1, 2])

@@ -103,7 +103,7 @@ def test_ks_test_reads_the_cdf_at_few_points():
 # types of listed functions.
 _SURFACE_USERS = ("README.md", "src/collide/cli.py", "src/collide/validation.py",
                   "tests/test_acceptance.py")
-_RETURN_TYPES = {"Accumulator", "EstimateReport", "ComSplit"}
+_RETURN_TYPES = {"Accumulator", "ComSplit"}
 
 
 def test_every_public_name_is_needed():

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .specfun import _float_or_array, _require_int, f_cdf, log_gamma
+from .specfun import _float_or_array, _require_int, _require_numbers, f_cdf, log_gamma
 
 __all__ = [
     "collision_prob_exact",
@@ -32,11 +32,16 @@ __all__ = [
 ]
 
 
+# location_coefficient(d) in closed form, num / pi^k by d; `collide table`
+# prints these and `validate` checks location_coefficient against them
+_COEFF_TABLE = {
+    2: (1, 2), 3: (1, 2), 4: (4, 3), 5: (6, 3), 6: (32, 4),
+    7: (60, 4), 8: (384, 5), 9: (840, 5), 10: (6144, 6), 11: (15120, 6),
+}
+
+
 def _check_dim(d: int) -> int:
-    d = _require_int("dimension", d)
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
-    return d
+    return _require_int("dimension", d, 1)
 
 
 def _check_radius(r):
@@ -172,9 +177,7 @@ def cauchy_cdf_1d(x, r: float):
     contact point is Cauchy with scale 1 - r, so the total mass of this
     CDF is 1/2.  Elementwise for array x.
     """
-    x = np.asarray(x, dtype=float)
-    if np.isnan(x).any():
-        raise ValueError("x must be a number, got NaN")
+    x = _require_numbers("x", x)
     r = _check_radius(r)
     return _float_or_array(0.25 + np.arctan(x / (1.0 - r)) / (2.0 * math.pi))
 

@@ -24,6 +24,7 @@ from . import __version__, analytic, validation
 from .geometry import Ball
 from .montecarlo import DEFAULT_SAMPLE_CAP, SimConfig, run
 from .rng import BLOCK
+from .specfun import _require_int
 from .stats import EstimateReport
 
 _EXIT_OK = 0
@@ -52,8 +53,7 @@ def _cmd_simulate(args) -> dict:
         workers=args.workers,
         sample_cap=0,
     )
-    if args.cap < 0:
-        raise ValueError(f"--cap must be >= 0, got {args.cap}")
+    _require_int("--cap", args.cap, 0)
     # one block's draws, allocated and dropped before --out is opened: numpy
     # refuses them at once for a --d the run could never hold, where the CSV
     # header would first build d column names
@@ -77,8 +77,7 @@ def _cmd_validate(args) -> dict:
 def _cmd_density(args) -> dict:
     if not 0.0 < args.rmax < math.inf:
         raise ValueError(f"--rmax must be positive and finite, got {args.rmax}")
-    if args.points < 2:
-        raise ValueError(f"--points must be >= 2, got {args.points}")
+    _require_int("--points", args.points, 2)
     try:
         if args.mode == "limit":
             coeff = analytic.location_coefficient(args.d)
@@ -107,7 +106,7 @@ def _cmd_density(args) -> dict:
 def _cmd_table(args) -> dict:
     return {"rows": [
         {"d": d, "exact": f"{num}/pi^{k}", "coefficient": analytic.location_coefficient(d)}
-        for d, (num, k) in validation._COEFF_TABLE.items()
+        for d, (num, k) in analytic._COEFF_TABLE.items()
     ]}
 
 

@@ -57,8 +57,7 @@ import numpy as np
 from .analytic import _check_dim
 from .geometry import ShapeOracle
 from .rng import BLOCK, block_rng, block_spans, check_seed
-from .specfun import _require_int
-from .stats import _row_norms2
+from .specfun import _require_int, _row_norms2
 
 __all__ = [
     "SimConfig",
@@ -101,21 +100,12 @@ class SimConfig:
     def __post_init__(self) -> None:
         if not all(hasattr(self.shape, a) for a in ("dim", "contact_scales", "bounding_cap")):
             raise ValueError(f"shape must be a shape oracle, got {type(self.shape).__name__}")
-        n = _require_int("trial count", self.n)
-        if n < 1:
-            raise ValueError(f"trial count must be >= 1, got {n}")
-        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "n", _require_int("trial count", self.n, 1))
         object.__setattr__(self, "seed", check_seed(self.seed))
         if self.sampler not in ("naive", "conditional"):
             raise ValueError(f"sampler must be 'naive' or 'conditional', got {self.sampler!r}")
-        workers = _require_int("workers", self.workers)
-        if workers < 0:
-            raise ValueError(f"workers must be >= 0, got {workers}")
-        object.__setattr__(self, "workers", workers)
-        cap = _require_int("sample cap", self.sample_cap)
-        if cap < 0:
-            raise ValueError(f"sample cap must be >= 0, got {cap}")
-        object.__setattr__(self, "sample_cap", cap)
+        object.__setattr__(self, "workers", _require_int("workers", self.workers, 0))
+        object.__setattr__(self, "sample_cap", _require_int("sample cap", self.sample_cap, 0))
 
     @property
     def dim(self) -> int:
@@ -166,9 +156,7 @@ def sample_relative_speed(rng: np.random.Generator, d: int, size: int) -> np.nda
     count to d (one for a cap direction, none for a whole-sphere one).
     """
     d = _check_dim(d)
-    m = _require_int("size", size)
-    if m < 1:
-        raise ValueError(f"size must be >= 1, got {size}")
+    m = _require_int("size", size, 1)
     normals = rng.standard_normal((m, d))
     normals *= _SQRT_HALF
     return np.sqrt(_row_norms2(normals))
@@ -268,9 +256,7 @@ def sample_cap_direction(rng: np.random.Generator, d: int, c: float, size: int) 
     c = float(c)
     if not 0.0 < c <= 1.0:  # NaN fails too
         raise ValueError(f"cap cosine must lie in (0, 1], got {c}")
-    m = _require_int("size", size)
-    if m < 1:
-        raise ValueError(f"size must be >= 1, got {size}")
+    m = _require_int("size", size, 1)
     if d >= 4:
         return _cap_rows(rng, d, c, m)[0]
     z = np.empty((m, d))
@@ -323,10 +309,11 @@ def _cap_proposals(rng: np.random.Generator, axis: np.ndarray, c: float,
     return z, radius2
 
 
-def _hits(shape: ShapeOracle, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Colliding rows of the velocity pairs ``v`` = (v1 | v2) and their contact
-    times: the entry scale along the half velocity difference over its speed.
-    Only rows inside the bounding cap are solved, each as a solve of all rows would."""
+def _hits(shape: ShapeOracle, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Colliding rows of the velocity pairs ``v`` = (v1 | v2), their contact
+    times (the entry scale along the half velocity difference over its speed)
+    and contact points (the midpoint drift times the contact time).  Only
+    rows inside the bounding cap are solved, each as a solve of all rows would."""
     d = shape.dim
     half = np.empty((d, v.shape[0]))
     np.subtract(v[:, :d].T, v[:, d:].T, out=half)
@@ -345,15 +332,15 @@ def _hits(shape: ShapeOracle, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(invalid="ignore", divide="ignore"):
         t = shape.contact_scales(half / speed[:, None]) / speed
     hit = np.isfinite(t)
-    return rows[hit], t[hit]
+    rows, t = rows[hit], t[hit]
+    return rows, t, 0.5 * (v[:, :d][rows] + v[:, d:][rows]) * t[:, None]
 
 
 def _naive_block(config: SimConfig, span: tuple[int, int, int]) -> Accumulator:
     block, start, m = span
     d = config.dim
     v = block_rng(config.seed, block).standard_normal((m, 2 * d))
-    hit, t = _hits(config.shape, v)
-    c = 0.5 * (v[:, :d][hit] + v[:, d:][hit]) * t[:, None]
+    hit, t, c = _hits(config.shape, v)
     return Accumulator(
         trials=m, collisions=int(hit.size),
         sample_trial=start + hit.astype(np.int64), sample_time=t, sample_location=c,

@@ -36,20 +36,18 @@ def check_seed(seed: int) -> int:
 
 def offset_seed(seed: int, k: int) -> int:
     """Seed of a run's k-th derived stream: seed + k, wrapped into [0, 2**64)."""
-    return (check_seed(seed) + k) % _SEED_LIMIT
+    return (check_seed(seed) + _require_int("seed offset", k)) % _SEED_LIMIT
 
 
 def block_rng(seed: int, block: int) -> np.random.Generator:
     """Generator for one trial block, keyed by (seed, block index)."""
-    if block < 0:
-        raise ValueError(f"block index must be >= 0, got {block}")
-    key = np.array([check_seed(seed), int(block)], dtype=np.uint64)
+    block = _require_int("block index", block, 0)
+    key = np.array([check_seed(seed), block], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
 def block_spans(n: int) -> Iterator[tuple[int, int, int]]:
     """Split n trials into (block index, first trial index, count) spans, lazily."""
-    if n < 0:
-        raise ValueError(f"trial count must be >= 0, got {n}")
+    n = _require_int("trial count", n, 0)
     return ((block, start, min(BLOCK, n - start))
             for block, start in enumerate(range(0, n, BLOCK)))

@@ -7,13 +7,15 @@ normal quantile in ``stats`` is ``statistics.NormalDist``).
 ``reg_inc_beta`` and ``f_cdf`` are array-native: they take a scalar or
 an array of evaluation points (with scalar shape parameters) through one
 code path, and return a float for a scalar and an array otherwise.
-``log_gamma`` and ``kolmogorov_sf`` take scalars.  Only the four
-functions the rest of the package needs are provided; none of them aim
-to be a general-purpose library.
+``log_gamma`` and ``kolmogorov_sf`` take scalars.  The module also
+holds the package's shared numerical rules: the argument checks, the
+cached Gauss-Legendre rule (``_gauss_legendre``) and the short-row norm
+(``_row_norms2``).  None of it aims to be a general-purpose library.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -38,13 +40,16 @@ def _require_number(name: str, value: float) -> float:
     return value
 
 
-def _require_int(name: str, value) -> int:
-    """Returns value as an int; anything but an int or a numpy integer is
-    refused rather than truncated, and so is a bool, which Python counts
-    as an int."""
+def _require_int(name: str, value, low: int | None = None) -> int:
+    """Returns value as an int, refusing one below ``low`` if given; anything
+    but an int or a numpy integer is refused rather than truncated, and so
+    is a bool, which Python counts as an int."""
     if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    value = int(value)
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return value
 
 
 def _require_numbers(name: str, values) -> np.ndarray:
@@ -58,6 +63,57 @@ def _float_or_array(values):
     """Returns a 0-d result as a Python float and anything else as an array."""
     values = np.asarray(values, dtype=float)
     return float(values) if values.ndim == 0 else values
+
+
+def _row_norms2(a: np.ndarray) -> np.ndarray:
+    """Each row's squared norm, bit-identical to np.add.reduce(a * a, axis=1).
+
+    Below 8 columns numpy adds a row's elements in order, as the column
+    loop here does at a fraction of the cost; from 8 on it sums pairwise.
+    """
+    if a.shape[1] >= 8:
+        return np.add.reduce(a * a, axis=1)
+    out = a[:, 0] * a[:, 0]
+    for j in range(1, a.shape[1]):
+        out += a[:, j] * a[:, j]
+    return out
+
+
+def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_n(x) and P_n'(x) for x inside (-1, 1), by the three-term recurrence
+    j P_j = (2j - 1) x P_(j-1) - (j - 1) P_(j-2)."""
+    p_prev, p = np.ones_like(x), x
+    for j in range(2, n + 1):
+        xp = x * p
+        p_prev, p = p, xp + (j - 1) / j * (xp - p_prev)
+    return p, n * (x * p - p_prev) / (x * x - 1.0)
+
+
+# Newton's method from Tricomi's estimate reaches double precision in three
+# or four steps; the cap only bounds the loop.
+_NEWTON_STEPS = 10
+
+
+@functools.cache
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes (ascending) and weights of the n-point Gauss-Legendre rule on [-1, 1].
+
+    Newton's method on P_n from Tricomi's estimate of its roots (Davis &
+    Rabinowitz, Methods of Numerical Integration, 1984), with elementwise
+    numpy only: no LAPACK call and no numpy.polynomial import.  Built once
+    per n and process; the arrays are shared, so they are read-only.
+    """
+    x = np.cos(math.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5))
+    for _ in range(_NEWTON_STEPS):
+        p, slope = _legendre(n, x)
+        step = p / slope
+        x = x - step
+        if np.abs(step).max() <= 1e-15:
+            break
+    _, slope = _legendre(n, x)
+    weights = 2.0 / ((1.0 - x * x) * slope * slope)
+    x.flags.writeable = weights.flags.writeable = False
+    return x, weights
 
 
 def log_gamma(x: float) -> float:

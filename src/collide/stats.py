@@ -14,7 +14,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .specfun import _reg_inc_beta_chunked, _require_int, kolmogorov_sf
+from .specfun import _reg_inc_beta_chunked, _require_int, _row_norms2, kolmogorov_sf
 
 __all__ = [
     "StatTestResult",
@@ -179,20 +179,6 @@ def ks_test(samples, cdf, alpha: float = 0.01, name: str = "ks") -> StatTestResu
         stat = max(stat, _max_deviation(_checked_cdf(cdf, xs[inner]), inner, n))
     p, alpha = kolmogorov_sf(math.sqrt(n) * stat), float(alpha)
     return StatTestResult(name, stat, p, n, alpha, p >= alpha)
-
-
-def _row_norms2(a: np.ndarray) -> np.ndarray:
-    """Each row's squared norm, bit-identical to np.add.reduce(a * a, axis=1).
-
-    Below 8 columns numpy adds a row's elements in order, as the column
-    loop here does at a fraction of the cost; from 8 on it sums pairwise.
-    """
-    if a.shape[1] >= 8:
-        return np.add.reduce(a * a, axis=1)
-    out = a[:, 0] * a[:, 0]
-    for j in range(1, a.shape[1]):
-        out += a[:, j] * a[:, j]
-    return out
 
 
 def sphere_coord_cdf(t, d: int):

@@ -8,12 +8,13 @@ formulas, the limit laws of the contact location, and the direction of
 the conditional contact point C.  The rotation checks KS-test each
 coordinate of C/|C| against its law for a uniform direction, so they miss
 an anisotropy that keeps those marginals: a drift whose first two
-components have correlation 0.06 passes them.
+components have correlation 0.06 passes them.  The module holds checks
+only: the rules and tables they read live with their owners (the
+quadrature rule in ``specfun``, the coefficient table in ``analytic``).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -25,12 +26,6 @@ from .rng import BLOCK, block_rng, check_seed, offset_seed
 
 __all__ = ["SUITES", "run_suite", "suite_analytic", "suite_mc", "suite_location", "suite_rotation"]
 
-# location_coefficient(d) in closed form, num / pi^k by d; `collide table` prints these
-_COEFF_TABLE = {
-    2: (1, 2), 3: (1, 2), 4: (4, 3), 5: (6, 3), 6: (32, 4),
-    7: (60, 4), 8: (384, 5), 9: (840, 5), 10: (6144, 6), 11: (15120, 6),
-}
-
 
 def _check(name: str, passed: bool, detail: str, **extra) -> dict:
     return {"name": name, "pass": bool(passed), "detail": detail, **extra}
@@ -38,43 +33,6 @@ def _check(name: str, passed: bool, detail: str, **extra) -> dict:
 
 def _from_stat(name: str, result: stats.StatTestResult, detail: str) -> dict:
     return {**result.to_json(), "name": name, "detail": detail}
-
-
-def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """P_n(x) and P_n'(x) for x inside (-1, 1), by the three-term recurrence
-    j P_j = (2j - 1) x P_(j-1) - (j - 1) P_(j-2)."""
-    p_prev, p = np.ones_like(x), x
-    for j in range(2, n + 1):
-        xp = x * p
-        p_prev, p = p, xp + (j - 1) / j * (xp - p_prev)
-    return p, n * (x * p - p_prev) / (x * x - 1.0)
-
-
-# Newton's method from Tricomi's estimate reaches double precision in three
-# or four steps; the cap only bounds the loop.
-_NEWTON_STEPS = 10
-
-
-@functools.cache
-def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes (ascending) and weights of the n-point Gauss-Legendre rule on [-1, 1].
-
-    Newton's method on P_n from Tricomi's estimate of its roots (Davis &
-    Rabinowitz, Methods of Numerical Integration, 1984), with elementwise
-    numpy only: no LAPACK call and no numpy.polynomial import.  Built once
-    per n and process; the arrays are shared, so they are read-only.
-    """
-    x = np.cos(math.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5))
-    for _ in range(_NEWTON_STEPS):
-        p, slope = _legendre(n, x)
-        step = p / slope
-        x = x - step
-        if np.abs(step).max() <= 1e-15:
-            break
-    _, slope = _legendre(n, x)
-    weights = 2.0 / ((1.0 - x * x) * slope * slope)
-    x.flags.writeable = weights.flags.writeable = False
-    return x, weights
 
 
 # Nodes of the rule behind conditional_density_normalization: after the
@@ -119,7 +77,7 @@ def suite_analytic() -> list[dict]:
         f"max |exact - closed| over d in (2,3), r in 0.01..0.99: {worst:.3e}"))
 
     worst = 0.0
-    for d, (num, k) in _COEFF_TABLE.items():
+    for d, (num, k) in analytic._COEFF_TABLE.items():
         exact = num / math.pi ** k
         rel = abs(analytic.location_coefficient(d) / exact - 1.0)
         worst = max(worst, rel)
@@ -137,7 +95,7 @@ def suite_analytic() -> list[dict]:
         "asymptotic_power_law", worst <= 1e-3,
         f"max |p / (coeff * r^(d-1)) - 1| at r=1e-3, d=2..6: {worst:.3e}"))
 
-    rule = _gauss_legendre(_RADIAL_NODES)
+    rule = specfun._gauss_legendre(_RADIAL_NODES)
     worst = 0.0
     for d in range(1, 7):
         worst = max(worst, abs(_radial_mass(d, rule) - 1.0))
@@ -159,29 +117,28 @@ def _naive_prob_check(name: str, d: int, r: float, n: int, seed: int) -> dict:
 
 
 def _solver_agreement_check(d: int, r: float, pairs: int, seed: int) -> dict:
-    # The naive engine's own kernel picks the colliding rows; the scalar
-    # time-of-impact quadratic and com_split then recompute only the first
-    # `pairs` of them.  An oracle miss on a row the kernel hits reads as a
-    # NaN gap, which fails the check.
+    # The naive engine's own kernel picks the colliding rows, their contact
+    # times and their contact points; the scalar time-of-impact quadratic
+    # and com_split then recompute only the first `pairs` of them, so a
+    # kernel point other than drift x time fails.  An oracle miss on a row
+    # the kernel hits reads as a NaN gap, which fails the check.
     shape = Ball(radius=r, dim=d)
     g = block_rng(seed, 0)
-    rows, times, found = [], [], 0
+    parts, found = [], 0
     while found < pairs:
         v = g.standard_normal((4096, 2 * d))
-        hit, t_hit = _hits(shape, v)
-        rows.append(v[hit][:pairs - found])
-        times.append(t_hit[:pairs - found])
-        found += len(rows[-1])
-    v, kernel = np.concatenate(rows), np.concatenate(times)
+        hit, t, c = _hits(shape, v)
+        parts.append((v[hit][:pairs - found], t[:pairs - found], c[:pairs - found]))
+        found += len(parts[-1][1])
+    v, kernel_t, kernel_c = (np.concatenate(part) for part in zip(*parts))
     t, drift = np.empty(pairs), np.empty((pairs, d))
     for i, row in enumerate(v):
         pair = VelocityPair(row[:d], row[d:])
         t_row = collision_time(pair, r)
         t[i] = np.nan if t_row is None else t_row
         drift[i] = com_split(pair).v_mean
-    worst_t = float(np.max(np.abs(t - kernel)))
-    c = 0.5 * (v[:, :d] + v[:, d:]) * t[:, None]
-    worst_c = float(np.max(np.abs(c - drift * t[:, None])))
+    worst_t = float(np.max(np.abs(t - kernel_t)))
+    worst_c = float(np.max(np.abs(kernel_c - drift * kernel_t[:, None])))
     passed = worst_t <= 1e-9 and worst_c <= 1e-12
     return _check(f"solver_decomposition_agreement_d{d}", passed,
                   f"{pairs} colliding pairs: max |t_quadratic - scale/speed| = {worst_t:.3e}, "

@@ -133,6 +133,24 @@ class TestSimulate:
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_eight_workers_write_the_one_worker_dump(self, tmp_path, capsys, monkeypatch):
+        # 65536 trials are 8 blocks, so --workers 8 starts 8 threads
+        resolved = []
+        resolve = collide.montecarlo._resolve_workers
+        monkeypatch.setattr(collide.montecarlo, "_resolve_workers",
+                            lambda requested, blocks:
+                            resolved.append(resolve(requested, blocks)) or resolved[-1])
+        outs = []
+        for w in ("1", "8"):
+            path = tmp_path / f"w{w}.csv"
+            code, _ = run_cli(capsys, "simulate", "--d", "2", "--r", "0.5",
+                              "--n", "65536", "--seed", "11",
+                              "--workers", w, "--out", str(path))
+            assert code == 0
+            outs.append(path.read_bytes())
+        assert resolved == [1, 8]
+        assert outs[0] == outs[1]
+
     def test_json_reruns_identical_numbers(self, capsys):
         reports = []
         for _ in range(2):
@@ -187,7 +205,7 @@ class TestSimulate:
     def test_negative_cap_exits_2(self, capsys, sampler):
         assert main(["simulate", "--sampler", sampler, "--d", "2", "--r", "0.5",
                      "--n", "100", "--cap", "-1"]) == 2
-        assert "cap" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: --cap must be >= 0, got -1\n"
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_retained_samples_are_first_hits_of_dump(self, capsys, monkeypatch, workers):
@@ -378,6 +396,7 @@ class TestDensity:
     def test_bad_grid_exits_2(self, capsys, tmp_path):
         assert main(["density", "--d", "2", "--points", "1",
                      "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err == "error: --points must be >= 2, got 1\n"
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("rmax", ["0", "-1", "nan", "inf"])

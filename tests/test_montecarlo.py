@@ -93,6 +93,31 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="got -1"):
             offset_seed(-1, 1)
 
+    @pytest.mark.parametrize("call", [
+        lambda: block_rng(1, 2.5), lambda: block_spans(2.5), lambda: offset_seed(1, 2.5),
+        lambda: block_rng(1, True),
+    ], ids=["block_rng", "block_spans", "offset_seed", "block_rng_bool"])
+    def test_stream_indices_are_integers(self, call):
+        # a fraction is refused, not truncated onto block 2's stream or a float seed
+        with pytest.raises(ValueError, match="must be an integer"):
+            call()
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: ball_config(n=0), "trial count must be >= 1, got 0"),
+        (lambda: ball_config(workers=-1), "workers must be >= 0, got -1"),
+        (lambda: ball_config(sample_cap=-1), "sample cap must be >= 0, got -1"),
+        (lambda: collision_prob_exact(0.5, 0), "dimension must be >= 1, got 0"),
+        (lambda: sample_relative_speed(block_rng(1, 0), 2, 0), "size must be >= 1, got 0"),
+        (lambda: sample_cap_direction(block_rng(1, 0), 2, 0.5, np.int64(0)),
+         "size must be >= 1, got 0"),
+        (lambda: block_rng(1, -1), "block index must be >= 0, got -1"),
+        (lambda: block_spans(-1), "trial count must be >= 0, got -1"),
+    ])
+    def test_lower_bound_messages(self, call, message):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
+
 
 class TestElementarySamplers:
     def test_relative_speed_law(self):
@@ -378,7 +403,7 @@ class TestScreenedKernel:
         half = 0.5 * (v[:3, :2] - v[:3, 2:])
         z1 = half[:, 0] / np.sqrt(np.einsum("ij,ij->i", half, half))
         assert z1.tolist() == [c, np.nextafter(c, 2.0), np.nextafter(c, 0.0)]
-        hit, t = mc._hits(ball, v)
+        hit, t, _ = mc._hits(ball, v)
         want_hit, want_t = _unscreened_hits(ball, v)
         assert hit.tolist() == want_hit.tolist() == [0, 1]
         assert t.tobytes() == want_t.tobytes()
@@ -395,7 +420,7 @@ class TestScreenedKernel:
         half = np.column_stack([x, np.sqrt(1.0 - x * x)[:, None] * w])
         half *= np.exp(g.uniform(-3.0, 3.0, k))[:, None]
         v = np.hstack([2.0 * half, np.zeros_like(half)])
-        hit, t = mc._hits(ball, v)
+        hit, t, _ = mc._hits(ball, v)
         want_hit, want_t = _unscreened_hits(ball, v)
         assert hit.tolist() == want_hit.tolist()
         assert t.tobytes() == want_t.tobytes()

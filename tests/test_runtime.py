@@ -45,11 +45,11 @@ def test_cli_import_leaves_numpy_polynomial_unloaded():
     # would pay; the package's quadrature rule is built without it.  Import
     # builds neither the parser nor the rule, which are cached on first use,
     # and the cached rule's arrays are shared, so they are read-only
-    probe = ("import sys; from collide import cli, validation; "
+    probe = ("import sys; from collide import cli, specfun; "
              "print('numpy.polynomial' in sys.modules, "
              "cli._build_parser.cache_info().currsize, "
-             "validation._gauss_legendre.cache_info().currsize, "
-             "*(a.flags.writeable for a in validation._gauss_legendre(20)))")
+             "specfun._gauss_legendre.cache_info().currsize, "
+             "*(a.flags.writeable for a in specfun._gauss_legendre(20)))")
     env = dict(os.environ, PYTHONPATH="src")
     out = subprocess.run([sys.executable, "-c", probe], cwd=ROOT, env=env,
                          capture_output=True, text=True, check=True).stdout

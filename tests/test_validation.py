@@ -6,9 +6,9 @@ import pytest
 import collide.analytic
 import collide.montecarlo
 import collide.validation
+from collide.specfun import _gauss_legendre
 from collide.validation import (
-    SUITES, _determinism_check, _gauss_legendre, _solver_agreement_check, run_suite,
-    suite_analytic,
+    SUITES, _determinism_check, _solver_agreement_check, run_suite, suite_analytic,
 )
 
 
@@ -119,6 +119,20 @@ class TestMutationSanity:
         real = collide.validation.collision_time
         monkeypatch.setattr(collide.validation, "collision_time",
                             lambda pair, r: real(pair, r) * (1.0 + 1e-8))
+        assert not _solver_agreement_check(d, 0.3, 200, 3)["pass"]
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_naive_contact_point_v1_t_detected(self, monkeypatch, d):
+        # the check compares the kernel's own contact points, so a kernel
+        # that writes v1 t in place of the midpoint drift times t fails it
+        assert _solver_agreement_check(d, 0.3, 200, 3)["pass"]
+        real = collide.validation._hits
+
+        def v1_t(shape, v):
+            rows, t, _ = real(shape, v)
+            return rows, t, v[rows, :shape.dim] * t[:, None]
+
+        monkeypatch.setattr(collide.validation, "_hits", v1_t)
         assert not _solver_agreement_check(d, 0.3, 200, 3)["pass"]
 
     def test_oracle_miss_on_one_row_fails(self, monkeypatch):

@@ -27,10 +27,13 @@ collision indicators, never on the times or locations, and trials are
 i.i.d., so the kept (time, location) rows are an i.i.d. sample of the
 law given a collision, whatever the worker count.
 
-Memory: a block returns one record, the tally of its collisions.  ``_drive``
-folds tallies into the sample store in trial order as blocks finish, with
-at most 2 x workers blocks in flight, and writes each block's rows to the
-dump (its misses are the trials its tally does not list) as it folds them.
+Memory: a block returns one record, the tally of its collisions.  The tally
+lists rows only where the run keeps them (its first sample_cap collisions, or
+every hit with a dump): a block none of whose rows are kept skips its speed,
+drift and contact-point work.  ``_drive`` folds tallies into the sample
+store in trial order as blocks finish, with at most 2 x workers blocks in
+flight, and writes each block's rows to the dump (its misses are the trials
+its tally does not list) as it folds them.
 The store reserves address space for min(sample_cap, n) rows once and
 writes each retained sample once; that space becomes resident only as
 rows arrive.  Peak memory is therefore at most sample_cap retained rows
@@ -50,7 +53,7 @@ import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing, nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -149,11 +152,12 @@ def sample_relative_speed(rng: np.random.Generator, d: int, size: int) -> np.nda
     """Norm of the half velocity difference: sqrt(S/2) with S chi-square(d).
 
     Sampled exactly as the norm of d independent centered normals with
-    variance 1/2.  The collision-only engine calls this at d <= 3.  At
-    d >= 4 it reuses the radius of the direction it already drew: the
-    normals behind a direction have a squared norm independent of it,
-    so the engine adds the squares of only the normals that bring their
-    count to d (one for a cap direction, none for a whole-sphere one).
+    variance 1/2.  The collision-only engine calls this at d <= 3, once
+    per block whose rows the run keeps.  At d >= 4 it reuses the radius
+    of the direction it already drew: the normals behind a direction
+    have a squared norm independent of it, so the engine adds the squares
+    of only the normals that bring their count to d (one for a cap
+    direction, none for a whole-sphere one).
     """
     d = _check_dim(d)
     m = _require_int("size", size, 1)
@@ -309,11 +313,12 @@ def _cap_proposals(rng: np.random.Generator, axis: np.ndarray, c: float,
     return z, radius2
 
 
-def _hits(shape: ShapeOracle, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _hits(shape: ShapeOracle, v: np.ndarray,
+          points: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Colliding rows of the velocity pairs ``v`` = (v1 | v2), their contact
     times (the entry scale along the half velocity difference over its speed)
-    and contact points (the midpoint drift times the contact time).  Only
-    rows inside the bounding cap are solved, each as a solve of all rows would."""
+    and contact points (the midpoint drift times the contact time, if
+    ``points``).  Only rows inside the bounding cap are solved, as in a full solve."""
     d = shape.dim
     half = np.empty((d, v.shape[0]))
     np.subtract(v[:, :d].T, v[:, d:].T, out=half)
@@ -333,14 +338,23 @@ def _hits(shape: ShapeOracle, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
         t = shape.contact_scales(half / speed[:, None]) / speed
     hit = np.isfinite(t)
     rows, t = rows[hit], t[hit]
-    return rows, t, 0.5 * (v[:, :d][rows] + v[:, d:][rows]) * t[:, None]
+    return rows, t, (0.5 * (v[:, :d][rows] + v[:, d:][rows]) * t[:, None] if points else None)
+
+
+def _counts_only(trials: int, collisions: int, d: int) -> Accumulator:
+    """The tally of a block whose rows no output of the run holds."""
+    return Accumulator(trials=trials, collisions=collisions, sample_trial=np.empty(0, np.int64),
+                       sample_time=np.empty(0), sample_location=np.empty((0, d)))
 
 
 def _naive_block(config: SimConfig, span: tuple[int, int, int]) -> Accumulator:
     block, start, m = span
     d = config.dim
     v = block_rng(config.seed, block).standard_normal((m, 2 * d))
-    hit, t, c = _hits(config.shape, v)
+    # the hit test needs t; only a run that keeps rows needs contact points
+    hit, t, c = _hits(config.shape, v, points=config.sample_cap > 0)
+    if c is None:
+        return _counts_only(m, int(hit.size), d)
     return Accumulator(
         trials=m, collisions=int(hit.size),
         sample_trial=start + hit.astype(np.int64), sample_time=t, sample_location=c,
@@ -377,6 +391,10 @@ def _conditional_block(config: SimConfig, span: tuple[int, int, int]) -> Accumul
                 f"{proposals} proposals (cap cosine {cosine}); the body is practically "
                 f"unreachable from the origin"
             )
+    # every trial collides, so a block from trial sample_cap on keeps no row;
+    # its speed and drift are the last draws of its stream, so none other moves
+    if start >= config.sample_cap:
+        return _counts_only(m, m, d)
     if radius2 is None:
         speed = sample_relative_speed(g, d, m)
     else:
@@ -473,14 +491,15 @@ class _SampleStore:
 
 def _drive(config: SimConfig, block_fn, dump) -> Accumulator:
     workers = _resolve_workers(config.workers, -(-config.n // BLOCK))
-    # a block's tally holds every collision of the block; the cap applies
-    # here, so no caller sees a tally over it
+    # a block's tally lists all its collisions, or none where the run keeps none
+    # (a dump keeps all); the cap applies here, so no caller sees a tally over it
     store = _SampleStore(config.dim, min(config.sample_cap, config.n))
+    block_config = config if dump is None else replace(config, sample_cap=config.n)
     # a dump is opened before the first block runs, so an unwritable path
     # fails at once; closing the block stream cancels the blocks not yet
     # started when a write raises (a block that raises closes the stream)
     with (open(dump, "w", newline="") if dump is not None else nullcontext() as fh,
-          closing(_block_outputs(config, block_fn, block_spans(config.n), workers)) as tallies):
+          closing(_block_outputs(block_config, block_fn, block_spans(config.n), workers)) as tallies):
         if fh is not None:
             fh.write(_csv_header(config.dim) + "\n")
         for tally in tallies:

@@ -619,6 +619,94 @@ class TestRetention:
         assert acc.p_hat == acc.collisions / 20_000
 
 
+class TestKeptRowsOnly:
+    # a block computes sample rows only where an output of the run holds them:
+    # a conditional block from trial sample_cap on draws no speed or drift, and
+    # a naive block of a counts-only run forms no contact point.  The skipped
+    # draws end each block's stream, so every kept row is the uncapped run's
+
+    N = 3 * BLOCK + 5
+    CAPS = (0, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3)
+    BODIES = {
+        **{f"ball-d{d}": Ball(radius=0.5, dim=d) for d in (1, 3, 6)},
+        "ellipsoid": Ellipsoid.from_semi_axes(center=[-1.0, 0.0, 0.0],
+                                              semi_axes=[0.1, 0.2, 0.3]),
+    }
+
+    @pytest.mark.parametrize("body", list(BODIES))
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("sampler", ["naive", "conditional"])
+    def test_cut_points_keep_the_uncapped_prefix(self, tmp_path, sampler, workers, body):
+        def config(cap):
+            return SimConfig(shape=self.BODIES[body], n=self.N, seed=31, sampler=sampler,
+                             workers=workers, sample_cap=cap)
+
+        full = run(config(self.N))
+        assert full.sample_trial.size == full.collisions > 0
+        for cap in self.CAPS:
+            capped = run(config(cap))
+            assert (capped.trials, capped.collisions) == (full.trials, full.collisions)
+            for field in SAMPLE_FIELDS:
+                x, y = getattr(capped, field), getattr(full, field)[:cap]
+                assert x.dtype == y.dtype and x.shape == y.shape
+                np.testing.assert_array_equal(x, y, err_msg=f"cap {cap}, {field}")
+        # a dump needs every hit, whatever the run keeps
+        counts_only, kept = tmp_path / "cap0.csv", tmp_path / "capn.csv"
+        run(config(0), dump=counts_only)
+        run(config(self.N), dump=kept)
+        assert counts_only.read_bytes() == kept.read_bytes()
+
+    @staticmethod
+    def _ball_d3(cap):
+        return SimConfig(shape=Ball(radius=0.3, dim=3), n=3 * BLOCK + 5, seed=32,
+                         sampler="conditional", workers=1, sample_cap=cap)
+
+    def test_counts_only_conditional_run_draws_no_speed(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a counts-only block drew a speed")
+
+        monkeypatch.setattr(mc, "sample_relative_speed", refuse)
+        acc = run_conditional(self._ball_d3(0))
+        assert acc.collisions == acc.trials == 3 * BLOCK + 5
+        assert acc.sample_trial.size == 0
+
+    def test_kept_conditional_run_draws_a_speed_per_block(self, monkeypatch):
+        calls = []
+        speed = mc.sample_relative_speed
+
+        def counting(rng, d, size):
+            calls.append(size)
+            return speed(rng, d, size)
+
+        monkeypatch.setattr(mc, "sample_relative_speed", counting)
+        acc = run_conditional(self._ball_d3(3 * BLOCK + 5))
+        assert calls == [BLOCK, BLOCK, BLOCK, 5]
+        assert acc.sample_trial.size == acc.collisions
+
+    def test_counts_only_naive_tally_lists_no_rows(self):
+        shape = Ball(radius=0.5, dim=2)
+        kept = mc._naive_block(ball_config(shape=shape, n=BLOCK), (0, 0, BLOCK))
+        tally = mc._naive_block(ball_config(shape=shape, n=BLOCK, sample_cap=0), (0, 0, BLOCK))
+        assert (tally.trials, tally.collisions) == (kept.trials, kept.collisions)
+        assert kept.collisions > 0
+        for field in SAMPLE_FIELDS:
+            x, y = getattr(tally, field), getattr(kept, field)
+            assert x.dtype == y.dtype and x.shape == (0,) + y.shape[1:]
+        config = dict(shape=shape, n=3 * BLOCK + 5, seed=33)
+        assert run_naive(ball_config(sample_cap=0, **config)).collisions == \
+            run_naive(ball_config(**config)).collisions
+
+    def test_counts_only_stall_still_raises(self, monkeypatch):
+        # the refill loop decides the hits, so a block that keeps no row runs
+        # it, and its stall guard, as a block that keeps every row does
+        monkeypatch.setattr(mc, "_REJECTION_PROPOSAL_LIMIT", 10_000)
+        monkeypatch.setattr(mc, "_REJECTION_MIN_RATE", 1e-2)
+        needle = Ellipsoid.from_semi_axes(center=[-1.0, 0.0], semi_axes=[0.5, 1e-6])
+        with pytest.raises(RuntimeError, match="proposals stalled"):
+            run_conditional(SimConfig(shape=needle, n=1_000, seed=0, workers=1,
+                                      sampler="conditional", sample_cap=0))
+
+
 class TestStreamedDrive:
     # mc._drive folds block tallies in trial order while blocks run; these
     # tests hold it to the first cap rows of every block's tally, a bounded

@@ -1,8 +1,10 @@
 """The package's runtime dependencies (numpy and the standard library only),
 two measured costs it keeps out of the CLI, the memory and the cdf reads of
-its KS test, its public surface (no name that nothing needs) and its
-settings (arguments only, no environment)."""
+its KS test, its public surface (no name that nothing needs, and every
+name the benchmark's tracer wraps) and its settings (arguments only, no
+environment)."""
 
+import importlib.util
 import os
 import re
 import subprocess
@@ -111,6 +113,42 @@ def test_every_public_name_is_needed():
     unused = [name for name in collide.__all__ if name not in _RETURN_TYPES
               and not re.search(rf"\b{re.escape(name)}\b", text)]
     assert not unused, f"public names nothing needs: {unused}"
+
+
+def test_tracer_finds_and_restores_every_name(monkeypatch):
+    # perfbench/tracer.py wraps collide's functions by name, so renaming,
+    # privatising or deleting one of them is a benchmark change: it fails here
+    # rather than when the benchmark runs.  Restoring puts back every original.
+    from collide import analytic, cli, geometry, montecarlo, rng, specfun, stats, validation  # noqa: F401
+
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))  # the tracer imports workloads
+    had_workloads = "workloads" in sys.modules
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench/tracer.py")
+    tracer_module = importlib.util.module_from_spec(spec)
+
+    def attributes():
+        return {(name, attr): value for name, module in list(sys.modules.items())
+                if name == "collide" or name.startswith("collide.")
+                for attr, value in vars(module).items()}
+
+    try:
+        spec.loader.exec_module(tracer_module)
+        before = attributes()
+        methods = {cls: cls.__dict__["contact_scales"] for cls in (geometry.Ball, geometry.Ellipsoid)}
+        tracer = tracer_module.Tracer()
+        tracer.install()
+        try:
+            assert tracer.missing == []
+            assert montecarlo.run_conditional is not before[("collide.montecarlo", "run_conditional")]
+        finally:
+            tracer.restore()
+        after = attributes()
+    finally:
+        if not had_workloads:
+            sys.modules.pop("workloads", None)
+    assert after.keys() == before.keys()
+    assert [key for key, value in before.items() if after[key] is not value] == []
+    assert all(cls.__dict__["contact_scales"] is fn for cls, fn in methods.items())
 
 
 def test_no_module_reads_the_environment():

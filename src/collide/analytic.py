@@ -131,9 +131,7 @@ def asymptotic_prob_coefficient(d: int) -> float:
     Defined for d >= 2; the collision probability is constant in r for
     d = 1, so no power law applies there.
     """
-    d = _check_dim(d)
-    if d < 2:
-        raise ValueError("asymptotic coefficient requires d >= 2")
+    d = _require_int("dimension", d, 2)
     ratio = math.exp(log_gamma(0.5 * d) - log_gamma(0.5 * (d - 1)))
     return ratio / ((d - 1) * math.sqrt(math.pi))
 

@@ -68,10 +68,6 @@ class VelocityPair:
         object.__setattr__(self, "v1", v1)
         object.__setattr__(self, "v2", v2)
 
-    @property
-    def dim(self) -> int:
-        return self.v1.size
-
 
 @dataclass(frozen=True, eq=False)
 class ComSplit:

@@ -254,9 +254,7 @@ def sample_cap_direction(rng: np.random.Generator, d: int, c: float, size: int) 
     cap directions the same way and keeps the squared norm of those
     normals for the trial's speed (see ``sample_relative_speed``).
     """
-    d = _require_int("dimension", d)
-    if d < 2:
-        raise ValueError(f"cap sampling needs d >= 2, got {d}")
+    d = _require_int("dimension", d, 2)
     c = float(c)
     if not 0.0 < c <= 1.0:  # NaN fails too
         raise ValueError(f"cap cosine must lie in (0, 1], got {c}")
@@ -569,8 +567,9 @@ def load_sample_csv(path) -> Accumulator:
 
     Expects the header trial,collided,t,c_1,...,c_d, then, read one ``BLOCK``
     at a time, row i in the writer's form: a miss is ``i,false,`` and d more
-    commas; a hit (collided true) fills every field with a finite number as
-    %.17g writes it.  Any other row is refused, quoted fields and ``05`` too.
+    commas; a hit (collided true) fills every field with a finite ASCII
+    decimal number that float() reads, with no whitespace, ``_`` or hex.
+    Any other row is refused, quoted fields and a trial ``05`` too.
     """
     in_order = True
     with open(path) as fh:
@@ -604,7 +603,7 @@ def load_sample_csv(path) -> Accumulator:
             try:
                 values = np.array(fields, dtype=float).reshape(-1, 1 + d)
                 # float() also reads whitespace, underscores and non-ASCII digits;
-                # beside what %.17g writes, only the non-finite words pass here
+                # beside ASCII decimals, only the non-finite words pass here
                 if "".join(fields).encode().translate(None, b"0123456789+-.eEaAfFiInNtTyY"):
                     raise ValueError("a hit row has a number the writer does not write")
             except ValueError as exc:

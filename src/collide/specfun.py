@@ -52,6 +52,15 @@ def _require_int(name: str, value, low: int | None = None) -> int:
     return value
 
 
+def _require_level(name: str, value) -> float:
+    """Returns value as a float strictly inside (0, 1), the range of a test's
+    significance level or an interval's confidence level; NaN is refused."""
+    value = float(value)
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"{name} must lie in (0, 1), got {value}")
+    return value
+
+
 def _require_numbers(name: str, values) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     if np.isnan(values).any():
@@ -249,10 +258,8 @@ def f_cdf(x, d1: int, d2: int):
     ``reg_inc_beta``; x = inf maps to 1.
     """
     x = _require_numbers("x", x)
-    d1 = _require_int("degrees of freedom", d1)
-    d2 = _require_int("degrees of freedom", d2)
-    if d1 < 1 or d2 < 1:
-        raise ValueError(f"degrees of freedom must be >= 1, got ({d1}, {d2})")
+    d1 = _require_int("degrees of freedom", d1, 1)
+    d2 = _require_int("degrees of freedom", d2, 1)
     negative = x < 0.0
     if negative.any():
         raise ValueError(f"f_cdf requires x >= 0, got {x[negative][0]}")

@@ -9,12 +9,12 @@ and a score-type binomial confidence interval.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from statistics import NormalDist
 
 import numpy as np
 
-from .specfun import _reg_inc_beta_chunked, _require_int, _row_norms2, kolmogorov_sf
+from .specfun import _reg_inc_beta_chunked, _require_int, _require_level, _row_norms2, kolmogorov_sf
 
 __all__ = [
     "StatTestResult",
@@ -38,14 +38,8 @@ class StatTestResult:
     passed: bool
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "statistic": self.statistic,
-            "p_value": self.p_value,
-            "n": self.n,
-            "alpha": self.alpha,
-            "pass": self.passed,
-        }
+        return {("pass" if key == "passed" else key): value
+                for key, value in asdict(self).items()}
 
 
 _CI_LEVEL = 0.9999
@@ -53,43 +47,33 @@ _CI_LEVEL = 0.9999
 
 @dataclass(frozen=True)
 class EstimateReport:
-    """A Monte Carlo proportion estimate with its uncertainty."""
+    """A Monte Carlo proportion estimate with its uncertainty: ``ci`` is the
+    (low, high) ``binomial_ci`` interval at level ``ci_level``."""
 
     estimate: float
     successes: int
     trials: int
     std_error: float
-    ci_low: float
-    ci_high: float
+    ci: tuple[float, float]
     ci_level: float
     seed: int
     sampler: str
 
     def to_json(self) -> dict:
-        return {
-            "estimate": self.estimate,
-            "successes": self.successes,
-            "trials": self.trials,
-            "std_error": self.std_error,
-            "ci": [self.ci_low, self.ci_high],
-            "ci_level": self.ci_level,
-            "seed": self.seed,
-            "sampler": self.sampler,
-        }
+        return {**asdict(self), "ci": list(self.ci)}
 
     @classmethod
     def from_counts(cls, successes: int, trials: int, seed: int, sampler: str) -> EstimateReport:
         """The estimate successes/trials with its standard error and
         ``binomial_ci`` interval at level ``_CI_LEVEL``."""
-        lo, hi = binomial_ci(successes, trials, _CI_LEVEL)
+        ci = binomial_ci(successes, trials, _CI_LEVEL)  # refuses trials = 0 before the division
         p_hat = successes / trials
         return cls(
             estimate=p_hat,
             successes=successes,
             trials=trials,
             std_error=math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / trials),
-            ci_low=lo,
-            ci_high=hi,
+            ci=ci,
             ci_level=_CI_LEVEL,
             seed=int(seed),
             sampler=sampler,
@@ -142,7 +126,8 @@ def ks_test(samples, cdf, alpha: float = 0.01, name: str = "ks") -> StatTestResu
             cannot rule out the largest deviation.  Each call must return
             an array of its argument's shape with finite values, and node
             values that decrease by more than 1e-12 raise ValueError.
-        alpha: Significance level; the test passes iff p >= alpha.
+        alpha: Significance level inside (0, 1), or ValueError is raised;
+            the test passes iff p >= alpha.
         name: Label carried into the result and JSON report.
 
     Returns:
@@ -156,6 +141,7 @@ def ks_test(samples, cdf, alpha: float = 0.01, name: str = "ks") -> StatTestResu
     buffer.  For a cdf that fits, the second call reads a few percent of
     the samples; at worst it reads every one but the nodes.
     """
+    alpha = _require_level("alpha", alpha)
     xs = np.sort(np.asarray(samples, dtype=float).ravel())
     n = xs.size
     if n < 10:
@@ -177,7 +163,7 @@ def ks_test(samples, cdf, alpha: float = 0.01, name: str = "ks") -> StatTestResu
     inner = inner[:np.searchsorted(inner, n - 1)]  # the last gap ends at n - 1
     if inner.size:
         stat = max(stat, _max_deviation(_checked_cdf(cdf, xs[inner]), inner, n))
-    p, alpha = kolmogorov_sf(math.sqrt(n) * stat), float(alpha)
+    p = kolmogorov_sf(math.sqrt(n) * stat)
     return StatTestResult(name, stat, p, n, alpha, p >= alpha)
 
 
@@ -190,9 +176,7 @@ def sphere_coord_cdf(t, d: int):
     inside = (t >= -1.0) & (t <= 1.0)
     if not inside.all():
         raise ValueError(f"coordinate bound must lie in [-1, 1], got {t[~inside][0]}")
-    d = _require_int("dimension", d)
-    if d < 2:
-        raise ValueError(f"sphere coordinate law needs d >= 2, got {d}")
+    d = _require_int("dimension", d, 2)
     half = 0.5 * (d - 1)
     return _reg_inc_beta_chunked(t, half, half, lambda ts: (u := 0.5 * (ts + 1.0), 1.0 - u))
 
@@ -203,8 +187,10 @@ def angular_uniformity_test(points, alpha: float = 0.01) -> list[StatTestResult]
     Each point is normalized to a unit vector and every coordinate axis
     is KS-tested against its exact marginal law under uniformity, at the
     Bonferroni-corrected level alpha / d.  The combined check passes iff
-    every per-axis test passes.
+    every per-axis test passes.  alpha must lie in (0, 1), or ValueError
+    is raised.
     """
+    alpha = _require_level("alpha", alpha)
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] < 2:
         raise ValueError("points must be an (n, d) array with d >= 2")
@@ -231,13 +217,11 @@ def binomial_ci(k: int, n: int, level: float) -> tuple[float, float]:
     marginally wider for the large n used in simulation reports.  The
     interval always contains k/n.
     """
-    k = _require_int("successes", k)
-    n = _require_int("trials", n)
-    if n < 1 or not 0 <= k <= n:
+    k = _require_int("successes", k, 0)
+    n = _require_int("trials", n, 1)
+    if k > n:
         raise ValueError(f"need 0 <= k <= n with n >= 1, got k={k}, n={n}")
-    level = float(level)
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"confidence level must lie in (0, 1), got {level}")
+    level = _require_level("confidence level", level)
     z = NormalDist().inv_cdf(0.5 + 0.5 * level)
     p = k / n
     z2 = z * z

@@ -253,8 +253,7 @@ def run_suite(name: str, alpha: float = 0.01, seed: int = 42) -> list[dict]:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
     check_seed(seed)
-    if not 0.0 < alpha < 1.0:  # NaN fails too
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    alpha = specfun._require_level("alpha", alpha)
     suites = {
         "analytic": suite_analytic,
         "mc": lambda: suite_mc(seed=seed),

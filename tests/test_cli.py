@@ -317,7 +317,7 @@ class TestValidate:
     def test_alpha_outside_unit_interval_exits_2(self, capsys, alpha):
         # an argument error, not a validation failure, and no check runs
         assert main(["validate", "--suite", "analytic", f"--alpha={alpha}"]) == 2
-        assert "alpha" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: alpha must lie in (0, 1), got {float(alpha)}\n"
 
 
 class TestParserCache:

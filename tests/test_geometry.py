@@ -22,8 +22,10 @@ def pair(v1, v2):
 
 class TestVelocityPair:
     def test_dim(self):
-        assert pair([1.0, 0.0], [0.0, 0.0]).dim == 2
-        assert VelocityPair(np.array(1.0), np.array(2.0)).dim == 1
+        assert pair([1.0, 0.0], [0.0, 0.0]).v1.shape == (2,)
+        # a 0-d velocity becomes a vector of one coordinate
+        p = VelocityPair(np.array(1.0), np.array(2.0))
+        assert p.v1.shape == p.v2.shape == (1,)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):

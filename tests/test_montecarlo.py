@@ -18,7 +18,7 @@ import scipy.stats
 
 import collide.montecarlo as mc
 from collide import cli
-from collide.analytic import collision_prob_exact
+from collide.analytic import asymptotic_prob_coefficient, collision_prob_exact
 from collide.geometry import Ball, Ellipsoid, VelocityPair, collision_time, com_split
 from collide.montecarlo import (
     Accumulator,
@@ -31,7 +31,8 @@ from collide.montecarlo import (
     sample_relative_speed,
 )
 from collide.rng import BLOCK, block_rng, block_spans, offset_seed
-from collide.stats import EstimateReport, ks_test
+from collide.specfun import f_cdf
+from collide.stats import EstimateReport, binomial_ci, ks_test, sphere_coord_cdf
 
 
 def ball_config(**kw):
@@ -112,6 +113,18 @@ class TestSimConfig:
          "size must be >= 1, got 0"),
         (lambda: block_rng(1, -1), "block index must be >= 0, got -1"),
         (lambda: block_spans(-1), "trial count must be >= 0, got -1"),
+        (lambda: f_cdf(1.0, 0, 2), "degrees of freedom must be >= 1, got 0"),
+        (lambda: f_cdf(1.0, 2, 0), "degrees of freedom must be >= 1, got 0"),
+        (lambda: asymptotic_prob_coefficient(1), "dimension must be >= 2, got 1"),
+        (lambda: sample_cap_direction(block_rng(1, 0), 1, 0.5, 10),
+         "dimension must be >= 2, got 1"),
+        (lambda: sphere_coord_cdf(0.0, 1), "dimension must be >= 2, got 1"),
+        (lambda: binomial_ci(-1, 5, 0.9), "successes must be >= 0, got -1"),
+        (lambda: binomial_ci(0, 0, 0.9), "trials must be >= 1, got 0"),
+        # the one bound between two arguments keeps its own message
+        (lambda: binomial_ci(6, 5, 0.9), "need 0 <= k <= n with n >= 1, got k=6, n=5"),
+        # the interval is formed before the estimate divides by the trials
+        (lambda: EstimateReport.from_counts(0, 0, 0, "naive"), "trials must be >= 1, got 0"),
     ])
     def test_lower_bound_messages(self, call, message):
         with pytest.raises(ValueError) as info:
@@ -972,11 +985,15 @@ class TestProportionReport:
         assert rep.estimate == acc.collisions / acc.trials
         assert rep.successes == acc.collisions
         assert rep.trials == 10_000
-        assert rep.ci_low <= rep.estimate <= rep.ci_high
+        assert rep.ci[0] <= rep.estimate <= rep.ci[1]
         assert rep.ci_level == 0.9999
         assert rep.sampler == "naive"
         data = rep.to_json()
         assert data["seed"] == 30
+        # the key order is the order `simulate` prints them in
+        assert list(data) == ["estimate", "successes", "trials", "std_error", "ci",
+                              "ci_level", "seed", "sampler"]
+        assert data["ci"] == list(rep.ci)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -1026,6 +1043,7 @@ class TestCsvRoundtrip:
         ("0,true,1.0,2.0", "fields"),
         ('0,"true",1.0,2.0,3.0', "collided field"),
         ("0,true,abc,2.0,3.0", r"bad\.csv: could not convert string to float: 'abc'"),
+        ("0,true,0x1p3,2.0,3.0", r"bad\.csv: could not convert string to float: '0x1p3'"),
         # float() reads these; %.17g never writes them
         ("0,true,1_0,2.0,3.0", r"bad\.csv: a hit row has a number the writer does not write"),
         ("0,true, 1.5,2.0,3.0", r"bad\.csv: a hit row has a number the writer does not write"),
@@ -1038,6 +1056,15 @@ class TestCsvRoundtrip:
         path.write_text(f"trial,collided,t,c_1,c_2\n1,false,,,\n{row}\n")
         with pytest.raises(ValueError, match=problem):
             load_sample_csv(path)
+
+    @pytest.mark.parametrize("spelling", ["1.50", "+1.5", "1e5", "05", ".5", "5."])
+    def test_load_reads_any_ascii_decimal(self, tmp_path, spelling):
+        # %.17g writes none of these; the loader reads each at its value
+        path = tmp_path / "spelt.csv"
+        path.write_text(f"trial,collided,t,c_1,c_2\n0,false,,,\n1,true,{spelling},2.0,{spelling}\n")
+        dump = load_sample_csv(path)
+        assert dump.sample_time.tolist() == [float(spelling)]
+        assert dump.sample_location.tolist() == [[2.0, float(spelling)]]
 
     @pytest.mark.parametrize("rows, problem", [
         (["0,true,nan,2.0,3.0", "1,false,,,"], "non-finite"),

@@ -179,8 +179,20 @@ class TestKsTest:
 
     def test_json_fields(self):
         res = ks_test(np.linspace(0.001, 0.999, 100), lambda x: x, name="u")
-        assert set(res.to_json()) == {"name", "statistic", "p_value", "n", "alpha", "pass"}
+        # the key order is the order `validate` prints them in
+        assert list(res.to_json()) == ["name", "statistic", "p_value", "n", "alpha", "pass"]
         assert res.to_json()["pass"] is True
+
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, 1.0, 1.5, math.nan, True])
+    def test_level_outside_unit_interval_rejected(self, alpha):
+        # at 0 or below every sample would pass, at NaN none would
+        samples = np.linspace(0.001, 0.999, 100)
+        calls = [lambda: ks_test(samples, lambda x: x, alpha=alpha),
+                 lambda: angular_uniformity_test(np.eye(3), alpha=alpha)]
+        for call in calls:
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == f"alpha must lie in (0, 1), got {float(alpha)}"
 
 
 class TestSphereCoordCdf:
@@ -357,6 +369,12 @@ class TestBinomialCi:
     def test_domain_errors(self, k, n, level):
         with pytest.raises(ValueError):
             binomial_ci(k, n, level)
+
+    @pytest.mark.parametrize("level", [math.nan, 0.0, 1.0, 1.5])
+    def test_level_message(self, level):
+        with pytest.raises(ValueError) as info:
+            binomial_ci(3, 10, level)
+        assert str(info.value) == f"confidence level must lie in (0, 1), got {level}"
 
 
 class TestStatTestResult:
